@@ -33,6 +33,7 @@ from .fileio import (
 from .graph import PreferenceDag, dag_to_incomplete_matrix, random_cdag
 from .harness import (
     SWEEP_COLUMNS,
+    alpha_grid,
     complete_matrix,
     derive_weights,
     run_pipeline,
@@ -222,10 +223,7 @@ def _cmd_verify_theorem1(args) -> int:
 
 def _cmd_sweep_alpha(args) -> int:
     g = read_dag(args.dag)
-    alphas = tuple(
-        round(args.alpha_min + k * args.step, 12)
-        for k in range(int(round((args.alpha_max - args.alpha_min) / args.step)) + 1)
-    )
+    alphas = alpha_grid(args.alpha_min, args.alpha_max, args.step)
     eq_tol = args.tol if args.tol is not None else 1e-9
     rows = sweep_alpha(g, args.completion, args.weighting, alphas, eq_tol=eq_tol)
     if args.format == "csv":

@@ -6,7 +6,7 @@
 * GCI-optimal: missing entries filled with ratios of the incomplete
   log-least-squares weights;
 * CR-optimal: missing entries minimize the dominant eigenvalue, found by
-  cyclic coordinate descent with golden-section line searches.
+  BFGS on the log of that eigenvalue, which is convex in the log entries.
 """
 
 from __future__ import annotations
@@ -17,10 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    POWER_MAX_ITER,
+    POWER_TOL,
     CompleteMatrix,
     IncompleteMatrix,
     TriadIndex,
+    _power_iteration,
     all_triads,
+    saaty_lambda_max,
 )
 from .errors import (
     ConvergenceFailureError,
@@ -299,144 +303,73 @@ def gci_optimal_completion(a: IncompleteMatrix) -> CompleteMatrix:
     return CompleteMatrix._trusted(values)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+CR_GRAD_TOL = 1e-10  # stop once every |d log lambda_max / d log a_ij| is below
+CR_MAX_ITER = 200
+_ARMIJO = 1e-4
+_LOG_LAMBDA_NOISE = 1e-14  # rounding of log lambda_max; Armijo slack near the optimum
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [lo, hi]."""
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    mid = 0.5 * (lo + hi)
-    return mid, min(fc, fd)
+def _cr_point(base: np.ndarray, rows, cols, t: np.ndarray, v, u):
+    """(log lambda, gradient, lambda, matrix, v, u) at missing logs t.
+
+    lambda comes from the left and right Perron vectors u, v, whose errors
+    enter it only as their product; the gradient along t_e = log a_ij is
+    (u_i a_ij v_j - u_j a_ji v_i) / (lambda u.v).
+    """
+    m = base.copy()
+    m[rows, cols] = np.exp(t)
+    m[cols, rows] = 1.0 / m[rows, cols]
+    v = _power_iteration(m, POWER_TOL, POWER_MAX_ITER, v)[0]
+    u = _power_iteration(m.T, POWER_TOL, POWER_MAX_ITER, u)[0]
+    uv = u @ v
+    lam = float(u @ m @ v) / uv
+    grad = u[rows] * m[rows, cols] * v[cols] - u[cols] * m[cols, rows] * v[rows]
+    return math.log(lam), grad / (lam * uv), lam, m, v, u
 
 
 def cr_optimal_completion(
-    a: IncompleteMatrix,
-    sweep_tol: float = 1e-10,
-    max_sweeps: int = 500,
-    initial_logs: np.ndarray | None = None,
+    a: IncompleteMatrix, initial_logs: np.ndarray | None = None
 ) -> tuple[CompleteMatrix, float]:
     """Completion minimizing the dominant eigenvalue, with that eigenvalue.
 
-    Cyclic coordinate descent over the missing log entries, each coordinate
-    minimized by golden-section search (the dominant eigenvalue is unimodal
-    along each log coordinate; it is in fact log-convex in the log entries).
-    Missing entries start from the GCI-optimal completion, a warm start the
-    result must not depend on; ``initial_logs`` overrides it for exactly
-    that regression. A sweep that improves the eigenvalue by at most
-    ``sweep_tol`` ends the descent.
+    lambda_max is log-convex in the log entries (Bozoki, Fulop & Ronyai
+    2010), so this is one smooth convex minimization of log lambda_max over
+    the missing log entries, solved by BFGS with a backtracking (Armijo)
+    line search. Missing entries start from the GCI-optimal completion, a
+    warm start the result must not depend on; ``initial_logs`` overrides it
+    for exactly that regression. The solve ends once every partial
+    derivative of log lambda_max is at most ``CR_GRAD_TOL`` in magnitude.
 
     Raises:
-        ConvergenceFailureError: sweep cap exhausted.
+        ConvergenceFailureError: ``CR_MAX_ITER`` steps taken first.
     """
     if not a.comparison_graph_connected():
         raise DisconnectedComparisonGraphError(
             "CR completion needs a connected comparison graph"
         )
-    pairs = a.missing_pairs
-    if not pairs:
+    if a.is_complete:
         complete = a.to_complete()
-        lam, _ = _warm_lambda(complete.entries, np.full(a.n, 1.0 / a.n))
-        return complete, lam
-
-    values = gci_optimal_completion(a).entries.copy()
-    if initial_logs is not None:
-        t = np.asarray(initial_logs, dtype=float).copy()
-        for e, (i, j) in enumerate(pairs):
-            values[i, j] = math.exp(t[e])
-            values[j, i] = math.exp(-t[e])
-    else:
-        t = np.array([math.log(values[i, j]) for i, j in pairs])
-    v = np.full(a.n, 1.0 / a.n)
-    u = np.full(a.n, 1.0 / a.n)
-
-    def assign(e: int, tau: float) -> None:
-        i, j = pairs[e]
-        values[i, j] = math.exp(tau)
-        values[j, i] = math.exp(-tau)
-
-    def lam_at(e: int, tau: float) -> float:
-        nonlocal v
-        assign(e, tau)
-        lam, v = _warm_lambda(values, v)
-        return lam
-
-    def dlam_at(e: int, tau: float) -> float:
-        # Perron-root derivative along the log coordinate via the left and
-        # right eigenvectors; its sign stays reliable far below the value
-        # noise floor, which pure golden search cannot get under.
-        nonlocal v, u
-        assign(e, tau)
-        _, v = _warm_lambda(values, v)
-        _, u = _warm_lambda(values.T, u)
-        i, j = pairs[e]
-        return (u[i] * values[i, j] * v[j] - u[j] * values[j, i] * v[i]) / (u @ v)
-
-    def polish(e: int, tau: float) -> float:
-        half = 1e-3
-        for _ in range(6):
-            lo, hi = tau - half, tau + half
-            dlo, dhi = dlam_at(e, lo), dlam_at(e, hi)
-            if dlo < 0.0 < dhi:
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if dlam_at(e, mid) < 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                    if hi - lo <= 1e-13:
-                        break
-                return 0.5 * (lo + hi)
-            half *= 4.0
-        return tau
-
-    lam_prev, v = _warm_lambda(values, v)
-    for _ in range(max_sweeps):
-        for e in range(len(pairs)):
-            current = t[e]
-            f_current = lam_at(e, current)
-            lo, hi = current - 8.0, current + 8.0
-            for _expand in range(8):
-                tau, f_tau = _golden_min(lambda x: lam_at(e, x), lo, hi, tol=1e-6)
-                if tau - lo > 1e-3 and hi - tau > 1e-3:
-                    break
-                lo, hi = lo - 8.0, hi + 8.0
-            if not f_tau < f_current:
-                tau = current
-            tau = polish(e, tau)
-            t[e] = tau
-            assign(e, tau)
-        lam_new, v = _warm_lambda(values, v)
-        if lam_prev - lam_new <= sweep_tol:
-            return CompleteMatrix._trusted(values.copy()), lam_new
-        lam_prev = lam_new
-    raise ConvergenceFailureError(
-        f"coordinate descent did not converge in {max_sweeps} sweeps"
-    )
-
-
-def _warm_lambda(
-    entries: np.ndarray, v0: np.ndarray, tol: float = 1e-13, max_iter: int = 10_000
-) -> tuple[float, np.ndarray]:
-    """Dominant eigenvalue by power iteration warm-started at v0."""
-    v = v0
-    for _ in range(max_iter):
-        av = entries @ v
-        nxt = av / av.sum()
-        if float(np.max(np.abs(nxt - v))) <= tol:
-            v = nxt
-            break
-        v = nxt
-    else:
-        raise ConvergenceFailureError("power iteration stalled in CR completion")
-    return float((entries @ v).sum()), v
+        return complete, saaty_lambda_max(complete)
+    base = gci_optimal_completion(a).entries
+    rows, cols = np.array(a.missing_pairs).T
+    t = np.log(base[rows, cols]) if initial_logs is None else np.asarray(initial_logs, float)
+    f, g, lam, m, v, u = _cr_point(base, rows, cols, t, None, None)
+    h = np.eye(len(t))  # inverse Hessian estimate
+    for _ in range(CR_MAX_ITER):
+        if np.max(np.abs(g)) <= CR_GRAD_TOL:
+            return CompleteMatrix._trusted(m), lam
+        d = -h @ g
+        step = 1.0
+        while True:
+            trial = _cr_point(base, rows, cols, t + step * d, v, u)
+            if trial[0] <= f + _ARMIJO * step * (g @ d) + _LOG_LAMBDA_NOISE:
+                break
+            step *= 0.5
+        s, y = step * d, trial[1] - g
+        t = t + s
+        f, g, lam, m, v, u = trial
+        sy = s @ y
+        if sy > 0.0:
+            r = np.eye(len(t)) - np.outer(s, y) / sy
+            h = r @ h @ r.T + np.outer(s, s) / sy
+    raise ConvergenceFailureError(f"CR completion did not converge in {CR_MAX_ITER} steps")

@@ -322,19 +322,21 @@ def koczkodaj_ki(m: CompleteMatrix) -> float:
 
 
 def _power_iteration(
-    a: np.ndarray, tol: float, max_iter: int
+    a: np.ndarray, tol: float, max_iter: int, v0: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, int, float]:
     """Power iteration for the Perron pair of a positive matrix.
 
-    Starts from the uniform vector, normalizes iterates to sum 1, and stops
-    when successive iterates differ by at most ``tol`` in the infinity norm.
+    Starts from ``v0`` (a positive vector summing to 1, such as the Perron
+    vector of a nearby matrix) or else the uniform vector, normalizes
+    iterates to sum 1, and stops when successive iterates differ by at most
+    ``tol`` in the infinity norm.
 
     Returns:
         (weights, lambda_max, iterations, residual) where residual is
         ||A w - lambda w||_inf / lambda.
     """
     n = a.shape[0]
-    v = np.full(n, 1.0 / n)
+    v = np.full(n, 1.0 / n) if v0 is None else v0
     for it in range(1, max_iter + 1):
         av = a @ v
         s = av.sum()

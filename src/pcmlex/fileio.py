@@ -9,6 +9,7 @@ n, then one ``i j`` arc per line, 1-based.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 from typing import TextIO
 
@@ -33,16 +34,24 @@ def _tokenize(text: str) -> tuple[int, list[list[str]]]:
 
 
 def parse_entry(token: str) -> float | None:
-    """One matrix token: ``*`` is missing, ``p/q`` a fraction."""
+    """One matrix token: ``*`` is missing, ``p/q`` a fraction.
+
+    Only ``*`` means missing: ``nan``, ``inf`` and any other token whose
+    value is not finite is rejected.
+    """
     if token == "*":
         return None
     try:
         if "/" in token:
             num, den = token.split("/", 1)
-            return float(num) / float(den)
-        return float(token)
+            value = float(num) / float(den)
+        else:
+            value = float(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad matrix entry {token!r}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"matrix entry {token!r} is not a finite number")
+    return value
 
 
 def loads_matrix(text: str) -> IncompleteMatrix:

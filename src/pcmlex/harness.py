@@ -27,6 +27,7 @@ from .core import (
     saaty_lambda_max,
 )
 from .errors import PcmError
+from .fileio import dumps_matrix
 from .graph import PreferenceDag, dag_to_incomplete_matrix, random_cdag
 from .weighting import eigenvector_weights, incomplete_llsm_weights, llsm_weights
 
@@ -79,13 +80,16 @@ def run_pipeline(
     """Complete, weight, and audit one incomplete matrix."""
     start = time.perf_counter()
     full = complete_matrix(a, completion)
-    w = derive_weights(full, weighting)
+    if weighting == "em":
+        eigen = eigenvector_weights(full)
+        w, lam = eigen.weights, eigen.lambda_max
+    else:
+        w, lam = derive_weights(full, weighting), saaty_lambda_max(full)
     violations = check_ordinal_violation(a, w, eq_tol=eq_tol)
     profile = inconsistency_profile(full) if full.n >= 3 else None
     max_ti = profile.max_ti if profile else 1.0
     ki = 1.0 - 1.0 / max_ti
     prefix = tuple(float(v) for v in (profile.theta[:theta_prefix_len] if profile else ()))
-    lam = saaty_lambda_max(full)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return PipelineReport(
         completion=completion,
@@ -143,8 +147,6 @@ def verify_theorem1(
     squares methods, and audits each weight vector for ordinal violations.
     Deterministic given the seed.
     """
-    from .fileio import dumps_matrix  # local import to avoid a cycle
-
     rng = np.random.default_rng(seed)
     violation_failures: list[TrialFailure] = []
     solver_failures: list[TrialFailure] = []

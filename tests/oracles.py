@@ -2,7 +2,7 @@
 
 Everything here goes through routes the library does not use: dense
 eigensolvers instead of power iteration, exhaustive grids instead of LPs or
-coordinate descent.
+the quasi-Newton CR solve.
 """
 
 import itertools

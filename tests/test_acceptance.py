@@ -200,7 +200,7 @@ def test_criterion_06_cr_grid_oracle():
     ok = worst <= 1e-3 and elapsed < 60.0
     report(
         6,
-        "coordinate descent matches the eigenvalue grid",
+        "CR completion matches the eigenvalue grid",
         ok,
         f"20 instances, worst |lambda gap| {worst:.2e}, {elapsed:.1f}s",
     )

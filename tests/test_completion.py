@@ -25,7 +25,13 @@ from pcmlex.errors import (
 )
 
 from conftest import random_incomplete, random_reciprocal, random_tree_matrix
-from oracles import cr_lambda_grid_oracle, lex_less_equal, lex_ti_grid_oracle
+from oracles import (
+    cr_lambda_grid_oracle,
+    dense_lambda_max,
+    dense_perron_vector,
+    lex_less_equal,
+    lex_ti_grid_oracle,
+)
 
 LN2 = math.log(2.0)
 LN8 = math.log(8.0)
@@ -236,7 +242,46 @@ class TestGciCompletion:
                 assert g.entries[j, i] == 1.0 / g.entries[i, j]
 
 
+def _permuted(a, perm):
+    """The incomplete matrix with item i relabelled perm[i]."""
+    raw = np.full((a.n, a.n), None, dtype=object)
+    for i in range(a.n):
+        for j in range(a.n):
+            if a.known[i, j]:
+                raw[perm[i], perm[j]] = a.entries[i, j]
+    return validate_reciprocal(raw)
+
+
 class TestCrCompletion:
+    @staticmethod
+    def _cr_instances():
+        rng = np.random.default_rng(73)
+        for _ in range(8):
+            n = int(rng.integers(4, 7))
+            yield random_incomplete(n, int(rng.integers(1, 4)), rng)
+
+    def test_stationary_and_no_worse_than_gci(self, fig2_dag):
+        fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (1.5, 2.0, 5.0, 9.0)]
+        for a in [*self._cr_instances(), *fig2]:
+            m, lam = cr_optimal_completion(a)
+            x = m.entries
+            v, u = dense_perron_vector(x), dense_perron_vector(x.T)
+            for i, j in a.missing_pairs:
+                grad = (u[i] * x[i, j] * v[j] - u[j] * x[j, i] * v[i]) / (u @ v)
+                assert abs(grad) <= 1e-6
+            assert lam <= dense_lambda_max(gci_optimal_completion(a).entries) + 1e-12
+
+    def test_relabel_invariant(self, fig2_dag):
+        rng = np.random.default_rng(79)
+        fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (2.0, 9.0)]
+        for a in [*self._cr_instances(), *fig2]:
+            perm = rng.permutation(a.n)
+            base, lam = cr_optimal_completion(a)
+            relabelled, lam_p = cr_optimal_completion(_permuted(a, perm))
+            expected = np.log(base.entries)[np.ix_(np.argsort(perm), np.argsort(perm))]
+            assert np.max(np.abs(np.log(relabelled.entries) - expected)) <= 1e-6
+            assert lam_p == pytest.approx(lam, abs=1e-12)
+
     def test_tree_consistent_minimal_lambda(self):
         rng = np.random.default_rng(47)
         for _ in range(6):

@@ -32,6 +32,13 @@ class TestMatrixFormat:
             parse_entry("abc")
         with pytest.raises(ParseError):
             parse_entry("1/0")
+        for token in ("nan", "inf", "-inf", "nan/1", "1/nan"):
+            with pytest.raises(ParseError):
+                parse_entry(token)
+
+    def test_nan_token_is_not_missing(self):
+        with pytest.raises(ParseError):
+            loads_matrix("3\n1 2 nan\n0.5 1 3\nnan 0.3333333333333333 1\n")
 
     def test_example2_file(self):
         a = loads_matrix(EXAMPLE2_TEXT)

@@ -4,7 +4,9 @@ import pytest
 from pcmlex import (
     alpha_grid,
     dag_to_incomplete_matrix,
+    lex_optimal_completion,
     run_pipeline,
+    saaty_lambda_max,
     sweep_alpha,
     verify_theorem1,
 )
@@ -27,6 +29,12 @@ class TestPipeline:
         a = dag_to_incomplete_matrix(fig2_dag, 2.0)
         report = run_pipeline(a, "gci", "llsm")
         assert len(report.violations) >= 1
+
+    def test_lambda_max_of_completion(self, fig2_dag):
+        a = dag_to_incomplete_matrix(fig2_dag, 2.0)
+        full, _ = lex_optimal_completion(a)
+        for weighting in ("em", "llsm"):
+            assert run_pipeline(a, "lex", weighting).lambda_max == saaty_lambda_max(full)
 
     def test_unknown_method_rejected(self, fig2_dag):
         a = dag_to_incomplete_matrix(fig2_dag, 2.0)
