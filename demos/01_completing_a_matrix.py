@@ -39,7 +39,8 @@ sol = solve_lp(state)
 print(f"\nfirst LP: {state.constraint_count} constraints over "
       f"{len(state.missing_pairs)} log variables")
 print(f"objective = {sol.objective:.6f} = log {np.exp(sol.objective):.4f}")
-print("triad duals:", {tuple(t): round(d, 4) for t, d in sol.duals.items() if d})
+duals = {tuple(t): round(float(d), 4) for t, d in zip(state.triads, sol.duals) if d}
+print("triad duals:", duals)
 
 completed, audit = lex_optimal_completion(a)
 print("\nfreeze audit (triads pinned at their minimal TI, largest first):")

@@ -48,15 +48,21 @@ EXIT_DISCONNECTED = 3
 EXIT_SOLVER = 4
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=None,
-                   help="preference intensity for DAG-based matrices (> 1)")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--format", choices=("text", "csv"), default="text",
-                   help="report format")
-    p.add_argument("--tol", type=float, default=None,
-                   help="tolerance override (objective-zero for lex completion, "
-                        "weight-equality for violation checks)")
+_OPTIONS = {
+    "--alpha": dict(type=float, default=None,
+                    help="preference intensity for DAG-based matrices (> 1)"),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--format": dict(choices=("text", "csv"), default="text", help="report format"),
+    "--tol": dict(type=float, default=1e-9,
+                  help="relative tolerance within which the weights of a stated "
+                       "tie (a_ij = 1) count as equal in the violation audit"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    """Register the shared options ``names``, each only where it is read."""
+    for name in names:
+        p.add_argument(name, **_OPTIONS[name])
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -97,8 +103,7 @@ def _audit_lines(audit: list[FreezeRecord]) -> str:
 def _cmd_complete(args) -> int:
     a = read_matrix(args.input)
     if args.method == "lex":
-        obj_tol = args.tol if args.tol is not None else 1e-9
-        full, audit = lex_optimal_completion(a, obj_tol=obj_tol)
+        full, audit = lex_optimal_completion(a)
         if args.audit:
             sys.stdout.write(_audit_lines(audit))
     else:
@@ -127,7 +132,6 @@ def _cmd_weights(args) -> int:
 
 def _cmd_check_violations(args) -> int:
     a = read_matrix(args.matrix)
-    eq_tol = args.tol if args.tol is not None else 1e-9
     if args.weights:
         tokens = Path(args.weights).read_text().split()
         w = np.array([float(t) for t in tokens])
@@ -136,7 +140,7 @@ def _cmd_check_violations(args) -> int:
         w = derive_weights(full, args.method).w
     else:
         raise ParseError("provide --weights FILE or --method {em,llsm}")
-    violations = check_ordinal_violation(a, w, eq_tol=eq_tol)
+    violations = check_ordinal_violation(a, w, eq_tol=args.tol)
     for v in violations:
         print(
             f"violation ({v.i + 1},{v.j + 1}): a={v.value:.12g} "
@@ -148,8 +152,7 @@ def _cmd_check_violations(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     a = _as_incomplete(_load_input(args.input, args.input_kind), args.alpha)
-    eq_tol = args.tol if args.tol is not None else 1e-9
-    report = run_pipeline(a, args.completion, args.weighting, eq_tol=eq_tol)
+    report = run_pipeline(a, args.completion, args.weighting, eq_tol=args.tol)
     if args.format == "csv":
         header = "method_pair,n_violations,max_ti,ki,lambda_max,runtime_ms,weights"
         wtxt = " ".join(f"{x:.12g}" for x in report.weights.w)
@@ -224,8 +227,7 @@ def _cmd_verify_theorem1(args) -> int:
 def _cmd_sweep_alpha(args) -> int:
     g = read_dag(args.dag)
     alphas = alpha_grid(args.alpha_min, args.alpha_max, args.step)
-    eq_tol = args.tol if args.tol is not None else 1e-9
-    rows = sweep_alpha(g, args.completion, args.weighting, alphas, eq_tol=eq_tol)
+    rows = sweep_alpha(g, args.completion, args.weighting, alphas, eq_tol=args.tol)
     if args.format == "csv":
         text = ",".join(SWEEP_COLUMNS) + "\n" + "".join(r.as_csv() + "\n" for r in rows)
     else:
@@ -253,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audit", action="store_true",
                    help="print freeze audit (lex only) before the matrix")
     p.add_argument("-o", "--output", default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_complete)
 
     p = sub.add_parser("weights", help="derive priority weights from a matrix")
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("em", "llsm"), required=True)
     p.add_argument("--input-kind", choices=("auto", "matrix", "dag"), default="auto")
     p.add_argument("-o", "--output", default=None)
-    _add_common(p)
+    _add_options(p, "--alpha", "--format")
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("check-violations", help="audit weights against a matrix")
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None, help="file of n whitespace-separated weights")
     p.add_argument("--method", choices=("em", "llsm"), default=None,
                    help="derive the weights instead (lex completion if incomplete)")
-    _add_common(p)
+    _add_options(p, "--tol")
     p.set_defaults(func=_cmd_check_violations)
 
     p = sub.add_parser("pipeline", help="DAG/matrix -> completion -> weights -> audit")
@@ -278,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighting", choices=("em", "llsm"), required=True)
     p.add_argument("--input-kind", choices=("auto", "matrix", "dag"), default="auto")
     p.add_argument("-o", "--output", default=None)
-    _add_common(p)
+    _add_options(p, "--alpha", "--format", "--tol")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("gen-dag", help="generate a random connected DAG file")
     p.add_argument("n", type=int)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("-o", "--output", default=None)
-    _add_common(p)
+    _add_options(p, "--seed")
     p.set_defaults(func=_cmd_gen_dag)
 
     p = sub.add_parser("verify-theorem1", help="fuzz lex completion for ordinal violations")
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--alphas", default="2,5,9", help="comma-separated alpha values")
-    _add_common(p)
+    _add_options(p, "--seed")
     p.set_defaults(func=_cmd_verify_theorem1)
 
     p = sub.add_parser("sweep-alpha", help="pipeline metrics over an alpha grid")
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-max", type=float, default=10.0)
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("-o", "--output", default=None)
-    _add_common(p)
+    _add_options(p, "--format", "--tol")
     p.set_defaults(func=_cmd_sweep_alpha)
 
     return parser

@@ -12,13 +12,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    POWER_MAX_ITER,
-    POWER_TOL,
     CompleteMatrix,
     IncompleteMatrix,
     TriadIndex,
@@ -35,36 +33,40 @@ from .errors import (
 from .simplex import solve_simplex
 from .weighting import incomplete_llsm_weights
 
-OBJ_TOL = 1e-9  # log-space objective treated as zero below this
-DUAL_TOL = 1e-9
-DEGENERATE_MATCH_TOL = 1e-7
+OBJ_RTOL = 1e-9  # objective below this times max |const| counts as zero
+DEGENERATE_MATCH_RTOL = 1e-7  # |cycle sum| this close (relative) matches the objective
+DUAL_TOL = 1e-9  # absolute: the active duals sum to -1, so they carry no scale
 
 
 @dataclass
 class LexLpState:
-    """Bookkeeping for the successive-LP solver.
+    """Bookkeeping for the successive-LP solver, indexed by triad position.
 
     One cycle-sum per triad: s = log a_ij + log a_jk - log a_ik over the
     triad's three pairs, where known entries contribute to ``const`` and
-    missing ones a +/-1 coefficient on their log variable. Each triad not
-    yet frozen contributes the constraint pair s <= z, -s <= z; a frozen
-    triad keeps the pair with z replaced by its fixed bound. Triads with no
-    missing entry have a constant cycle sum; once frozen, their pair is
-    vacuous and is dropped.
+    missing ones a +/-1 coefficient on their log variable. Each active
+    triad contributes the constraint pair s <= z, -s <= z; a frozen triad
+    keeps the pair with z replaced by its ``bound``. Triads with no missing
+    entry have a constant cycle sum; once frozen, their pair is vacuous and
+    is dropped.
     """
 
-    n: int
     missing_pairs: tuple[tuple[int, int], ...]
     triads: tuple[TriadIndex, ...]
     coef: np.ndarray  # (T, m) coefficients of cycle sums on log variables
     const: np.ndarray  # (T,) known part of each cycle sum (natural log)
     has_missing: np.ndarray  # (T,) bool
-    active: np.ndarray  # (T,) bool, the not-yet-frozen set
-    frozen_bound: dict[TriadIndex, float] = field(default_factory=dict)
+    bound: np.ndarray  # (T,) frozen bound on |cycle sum|, NaN while active
 
     @property
-    def n_active(self) -> int:
-        return int(self.active.sum())
+    def active(self) -> np.ndarray:
+        """(T,) bool, the not-yet-frozen triads."""
+        return np.isnan(self.bound)
+
+    @property
+    def scale(self) -> float:
+        """max |const|: the objective at t = 0, so an upper bound on every stage's."""
+        return float(np.max(np.abs(self.const), initial=0.0))
 
     @property
     def constraint_count(self) -> int:
@@ -73,8 +75,7 @@ class LexLpState:
         return 2 * int(contributing.sum())
 
     def freeze(self, pos: int, bound: float) -> None:
-        self.active[pos] = False
-        self.frozen_bound[self.triads[pos]] = bound
+        self.bound[pos] = bound
 
     def cycle_sums(self, t: np.ndarray) -> np.ndarray:
         return self.const + self.coef @ t
@@ -85,13 +86,10 @@ class LpSolution:
     """Optimal point of one stage LP."""
 
     objective: float
-    primal: dict[tuple[int, int], float]  # missing pair -> log value
-    z: float
-    duals: dict[TriadIndex, float]  # triad -> dual on its bounding pair (<= 0)
-    status: str
+    t: np.ndarray  # log values in missing_pairs order
+    duals: np.ndarray  # (T,) dual on each triad's bounding pair (<= 0)
     feasibility_residual: float
     duality_gap: float
-    t: np.ndarray  # log values in missing_pairs order
 
 
 @dataclass(frozen=True)
@@ -139,13 +137,12 @@ def build_lex_lp(
                 coef[pos, var_of[(p, q)]] += s
     has_missing = np.abs(coef).sum(axis=1) > 0
     return LexLpState(
-        n=a.n,
         missing_pairs=missing,
         triads=triads,
         coef=coef,
         const=const,
         has_missing=has_missing,
-        active=np.ones(T, dtype=bool),
+        bound=np.full(T, np.nan),
     )
 
 
@@ -153,56 +150,35 @@ def solve_lp(state: LexLpState) -> LpSolution:
     """Solve the current stage LP; deterministic given the state.
 
     Free log variables are split into differences of nonnegative parts for
-    the simplex. Each triad's dual is the sum of the duals on its two
-    constraint rows, which equals the dual the bounding constraint z_l <= z
+    the simplex. Rows come in triad order, the +s row of each contributing
+    triad before its -s row. Each triad's dual is the sum of the duals on
+    its two rows, which equals the dual the bounding constraint z_l <= z
     would carry in the unprojected formulation.
     """
-    m = len(state.missing_pairs)
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    row_triad: list[int] = []
-    for pos in range(len(state.triads)):
-        if state.active[pos]:
-            zcol, bound = -1.0, 0.0
-        elif state.has_missing[pos]:
-            zcol, bound = 0.0, state.frozen_bound[state.triads[pos]]
-        else:
-            continue  # frozen constant triad: |const| <= bound holds by choice
-        row = state.coef[pos]
-        rows.append(np.concatenate([row, -row, [zcol]]))
-        rhs.append(bound - state.const[pos])
-        row_triad.append(pos)
-        rows.append(np.concatenate([-row, row, [zcol]]))
-        rhs.append(bound + state.const[pos])
-        row_triad.append(pos)
-
-    ncols = 2 * m + 1
-    if rows:
-        A = np.vstack(rows)
-        b = np.asarray(rhs)
-    else:
-        A = np.zeros((0, ncols))
-        b = np.zeros(0)
-    c = np.zeros(ncols)
+    active = state.active
+    rows = np.flatnonzero(active | state.has_missing)
+    coef, const = state.coef[rows], state.const[rows]
+    m = coef.shape[1]
+    zcol = np.where(active[rows], -1.0, 0.0)[:, None]
+    bound = np.where(active[rows], 0.0, state.bound[rows])
+    A = np.empty((2 * len(rows), 2 * m + 1))
+    A[0::2] = np.hstack([coef, -coef, zcol])
+    A[1::2] = np.hstack([-coef, coef, zcol])
+    b = np.empty(2 * len(rows))
+    b[0::2] = bound - const
+    b[1::2] = bound + const
+    c = np.zeros(2 * m + 1)
     c[-1] = 1.0
     res = solve_simplex(c, A, b)
 
-    t = res.x[:m] - res.x[m : 2 * m]
-    z = float(res.x[-1])
-    duals: dict[TriadIndex, float] = {tr: 0.0 for tr in state.triads}
-    for r, pos in enumerate(row_triad):
-        duals[state.triads[pos]] += float(res.duals[r])
-    residual = float(np.max(A @ res.x - b, initial=0.0))
-    gap = abs(res.objective - float(b @ res.duals)) if len(b) else 0.0
+    duals = np.zeros(len(state.triads))
+    duals[rows] = res.duals[0::2] + res.duals[1::2]
     return LpSolution(
         objective=res.objective,
-        primal={pair: float(t[e]) for e, pair in enumerate(state.missing_pairs)},
-        z=z,
+        t=res.x[:m] - res.x[m : 2 * m],
         duals=duals,
-        status="optimal",
-        feasibility_residual=residual,
-        duality_gap=gap,
-        t=t,
+        feasibility_residual=float(np.max(A @ res.x - b, initial=0.0)),
+        duality_gap=abs(res.objective - float(b @ res.duals)) if len(b) else 0.0,
     )
 
 
@@ -210,36 +186,42 @@ def _select_freeze(state: LexLpState, sol: LpSolution) -> int:
     """Position of the active triad to freeze at the current objective.
 
     Primary rule: the active triad whose bounding pair carries the largest
-    |dual|, ties broken by smallest triad index. Degenerate fallback when
-    every active dual vanishes: the active triad whose |cycle sum| is
-    closest to the objective (within 1e-7), smallest index first.
+    |dual| above ``DUAL_TOL``, ties broken by smallest triad index.
+    Degenerate fallback when every active dual vanishes: the first active
+    triad whose |cycle sum| is within ``DEGENERATE_MATCH_RTOL * scale`` of
+    the objective.
     """
-    best_pos, best_mag = -1, DUAL_TOL
-    for pos in np.flatnonzero(state.active):
-        mag = abs(sol.duals[state.triads[pos]])
-        if mag > best_mag:
-            best_pos, best_mag = int(pos), mag
-    if best_pos >= 0:
-        return best_pos
-    sums = np.abs(state.cycle_sums(sol.t))
-    gaps = np.abs(sums - sol.objective)
-    for pos in np.flatnonzero(state.active):
-        if gaps[pos] <= DEGENERATE_MATCH_TOL:
-            return int(pos)
+    active = state.active
+    mags = np.where(active, np.abs(sol.duals), 0.0)
+    pos = int(np.argmax(mags))
+    if mags[pos] > DUAL_TOL:
+        return pos
+    gaps = np.abs(np.abs(state.cycle_sums(sol.t)) - sol.objective)
+    match = np.flatnonzero(active & (gaps <= DEGENERATE_MATCH_RTOL * state.scale))
+    if match.size:
+        return int(match[0])
     raise NoBindingDualFoundError(
         f"objective {sol.objective:.3e} > 0 but no active constraint prices it"
     )
 
 
+def _fill_missing(base: np.ndarray, rows, cols, t) -> np.ndarray:
+    """Copy of ``base`` with exp(t) at (rows, cols) and the reciprocals at (cols, rows)."""
+    m = base.copy()
+    m[rows, cols] = np.exp(t)
+    m[cols, rows] = 1.0 / m[rows, cols]
+    return m
+
+
 def lex_optimal_completion(
-    a: IncompleteMatrix,
-    obj_tol: float = OBJ_TOL,
-    triad_order: tuple[TriadIndex, ...] | None = None,
+    a: IncompleteMatrix, triad_order: tuple[TriadIndex, ...] | None = None
 ) -> tuple[CompleteMatrix, list[FreezeRecord]]:
     """Lexicographically optimal completion with its freeze audit.
 
     Runs the successive-LP scheme: solve, and while the objective exceeds
-    ``obj_tol``, freeze one bottleneck triad at the current objective,
+    ``OBJ_RTOL`` times max |const| (the scale of the data, so the result
+    does not depend on the unit of the log entries, such as the alpha of a
+    DAG matrix), freeze one bottleneck triad at the current objective,
     remove it from the active set and re-solve; stop when the objective is
     (numerically) zero or no active triad remains. The audit lists frozen
     triads with TI = exp(bound) in freeze order, which is non-increasing.
@@ -251,40 +233,31 @@ def lex_optimal_completion(
     if a.is_complete:
         return a.to_complete(), []
     state = build_lex_lp(a, triad_order=triad_order)
+    zero = OBJ_RTOL * state.scale
     sol = solve_lp(state)
     audit: list[FreezeRecord] = []
-    stage = 1
-    while sol.objective > obj_tol and state.n_active > 0:
+    while sol.objective > zero:
         pos = _select_freeze(state, sol)
-        bound = sol.objective
-        ti = math.exp(bound)
-        state.freeze(pos, bound)
-        audit.append(FreezeRecord(state.triads[pos], ti, stage))
-        stage += 1
+        frozen = [pos]
         if not state.has_missing[pos]:
             # Constant triads tied at the same cycle sum must all freeze at
             # this level before the objective can drop; the LP optimum is
             # unchanged while any of them stays active, so freeze the whole
-            # tie in index order without intermediate re-solves.
-            tied = np.flatnonzero(
-                state.active
-                & ~state.has_missing
-                & (np.abs(state.const) == np.abs(state.const[pos]))
-            )
-            for pos2 in tied:
-                state.freeze(int(pos2), bound)
-                audit.append(FreezeRecord(state.triads[int(pos2)], ti, stage))
-                stage += 1
-        if state.n_active == 0:
+            # tie (pos first, then the rest in index order) without re-solves.
+            gap = np.abs(np.abs(state.const) - abs(state.const[pos]))
+            tied = state.active & ~state.has_missing & (gap <= zero)
+            tied[pos] = False
+            frozen += np.flatnonzero(tied).tolist()
+        ti = math.exp(sol.objective)
+        for p in frozen:
+            state.freeze(p, sol.objective)
+            audit.append(FreezeRecord(state.triads[p], ti, len(audit) + 1))
+        if not state.active.any():
             break
         sol = solve_lp(state)
 
-    values = a.entries.copy()
-    for pair in state.missing_pairs:
-        x = math.exp(sol.primal[pair])
-        values[pair[0], pair[1]] = x
-        values[pair[1], pair[0]] = 1.0 / x
-    return CompleteMatrix._trusted(values), audit
+    rows, cols = np.array(state.missing_pairs).T
+    return CompleteMatrix._trusted(_fill_missing(a.entries, rows, cols, sol.t)), audit
 
 
 def gci_optimal_completion(a: IncompleteMatrix) -> CompleteMatrix:
@@ -316,11 +289,9 @@ def _cr_point(base: np.ndarray, rows, cols, t: np.ndarray, v, u):
     enter it only as their product; the gradient along t_e = log a_ij is
     (u_i a_ij v_j - u_j a_ji v_i) / (lambda u.v).
     """
-    m = base.copy()
-    m[rows, cols] = np.exp(t)
-    m[cols, rows] = 1.0 / m[rows, cols]
-    v = _power_iteration(m, POWER_TOL, POWER_MAX_ITER, v)[0]
-    u = _power_iteration(m.T, POWER_TOL, POWER_MAX_ITER, u)[0]
+    m = _fill_missing(base, rows, cols, t)
+    v = _power_iteration(m, v)[0]
+    u = _power_iteration(m.T, u)[0]
     uv = u @ v
     lam = float(u @ m @ v) / uv
     grad = u[rows] * m[rows, cols] * v[cols] - u[cols] * m[cols, rows] * v[rows]

@@ -69,13 +69,13 @@ class CompleteMatrix:
     entries: np.ndarray
 
     @classmethod
-    def from_array(cls, raw, rtol: float = RECIPROCITY_RTOL) -> "CompleteMatrix":
+    def from_array(cls, raw) -> "CompleteMatrix":
         """Validate a full array and canonicalize its lower triangle.
 
         Raises:
             NonSquareError, NonPositiveEntryError, ReciprocityViolationError
         """
-        inc = validate_reciprocal(raw, rtol=rtol)
+        inc = validate_reciprocal(raw)
         if not inc.is_complete:
             raise AsymmetricMissingnessError(
                 "complete matrix may not contain missing entries"
@@ -213,17 +213,16 @@ def _as_value_mask(raw) -> tuple[np.ndarray, np.ndarray]:
     return values, known
 
 
-def validate_reciprocal(raw, rtol: float = RECIPROCITY_RTOL) -> IncompleteMatrix:
+def validate_reciprocal(raw) -> IncompleteMatrix:
     """Validate a raw array into an incomplete pairwise comparison matrix.
 
     Missing entries are given as None or NaN. Checks squareness, n >= 2,
     unit diagonal, positivity, symmetric missingness and reciprocity (to
-    relative tolerance ``rtol``), then canonicalizes by recomputing the
-    lower triangle from the upper one.
+    relative tolerance ``RECIPROCITY_RTOL``), then canonicalizes by
+    recomputing the lower triangle from the upper one.
 
     Args:
         raw: n x n array of numbers / None / NaN, or an existing matrix.
-        rtol: relative tolerance for the reciprocity check.
 
     Returns:
         A validated, canonicalized IncompleteMatrix (possibly complete).
@@ -236,7 +235,7 @@ def validate_reciprocal(raw, rtol: float = RECIPROCITY_RTOL) -> IncompleteMatrix
     for i in range(n):
         if not known[i, i]:
             raise AsymmetricMissingnessError(f"diagonal entry ({i}, {i}) is missing")
-        if abs(values[i, i] - 1.0) > rtol:
+        if abs(values[i, i] - 1.0) > RECIPROCITY_RTOL:
             raise ReciprocityViolationError(
                 f"diagonal entry ({i}, {i}) = {values[i, i]} must equal 1",
                 pair=(i, i),
@@ -259,7 +258,7 @@ def validate_reciprocal(raw, rtol: float = RECIPROCITY_RTOL) -> IncompleteMatrix
                 dev = abs(values[i, j] * values[j, i] - 1.0)
                 if dev > worst_dev:
                     worst_pair, worst_dev = (i, j), dev
-    if worst_pair is not None and worst_dev > rtol:
+    if worst_pair is not None and worst_dev > RECIPROCITY_RTOL:
         i, j = worst_pair
         raise ReciprocityViolationError(
             f"entries ({i}, {j}) = {values[i, j]} and ({j}, {i}) = {values[j, i]} "
@@ -322,41 +321,42 @@ def koczkodaj_ki(m: CompleteMatrix) -> float:
 
 
 def _power_iteration(
-    a: np.ndarray, tol: float, max_iter: int, v0: np.ndarray | None = None
+    a: np.ndarray, v0: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, int, float]:
     """Power iteration for the Perron pair of a positive matrix.
 
     Starts from ``v0`` (a positive vector summing to 1, such as the Perron
     vector of a nearby matrix) or else the uniform vector, normalizes
     iterates to sum 1, and stops when successive iterates differ by at most
-    ``tol`` in the infinity norm.
+    ``POWER_TOL`` in the infinity norm.
 
     Returns:
         (weights, lambda_max, iterations, residual) where residual is
         ||A w - lambda w||_inf / lambda.
+
+    Raises:
+        ConvergenceFailureError: ``POWER_MAX_ITER`` iterations taken first.
     """
     n = a.shape[0]
     v = np.full(n, 1.0 / n) if v0 is None else v0
-    for it in range(1, max_iter + 1):
+    for it in range(1, POWER_MAX_ITER + 1):
         av = a @ v
         s = av.sum()
         nxt = av / s
         delta = float(np.max(np.abs(nxt - v)))
         v = nxt
-        if delta <= tol:
+        if delta <= POWER_TOL:
             lam = float((a @ v).sum())  # sum(Av) = lambda once sum(v) = 1
             residual = float(np.max(np.abs(a @ v - lam * v)) / lam)
             return v, lam, it, residual
     raise ConvergenceFailureError(
-        f"power iteration did not converge in {max_iter} iterations"
+        f"power iteration did not converge in {POWER_MAX_ITER} iterations"
     )
 
 
-def saaty_lambda_max(
-    m: CompleteMatrix, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER
-) -> float:
+def saaty_lambda_max(m: CompleteMatrix) -> float:
     """Dominant eigenvalue of the matrix via power iteration (>= n)."""
-    _, lam, _, _ = _power_iteration(m.entries, tol, max_iter)
+    _, lam, _, _ = _power_iteration(m.entries)
     return lam
 
 

@@ -144,22 +144,7 @@ def build_dag(n: int, arcs: Iterable[tuple[int, int]]) -> PreferenceDag:
 
 def reachable(g: PreferenceDag, i: int, j: int) -> bool:
     """True iff a directed walk from i to j exists; False when i == j."""
-    if i == j:
-        return False
-    succ: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.arcs:
-        succ[u].append(v)
-    stack = [i]
-    seen = {i}
-    while stack:
-        u = stack.pop()
-        for v in succ[u]:
-            if v == j:
-                return True
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return False
+    return bool(_reach_matrix(g)[i, j])
 
 
 def _reach_matrix(g: PreferenceDag) -> np.ndarray:

@@ -33,6 +33,7 @@ from .weighting import eigenvector_weights, incomplete_llsm_weights, llsm_weight
 
 COMPLETION_METHODS = ("lex", "gci", "cr")
 WEIGHTING_METHODS = ("em", "llsm")
+THETA_PREFIX_LEN = 5  # largest triad inconsistencies kept in a report
 
 
 def complete_matrix(a: IncompleteMatrix, method: str) -> CompleteMatrix:
@@ -75,7 +76,6 @@ def run_pipeline(
     completion: str,
     weighting: str,
     eq_tol: float = 1e-9,
-    theta_prefix_len: int = 5,
 ) -> PipelineReport:
     """Complete, weight, and audit one incomplete matrix."""
     start = time.perf_counter()
@@ -89,7 +89,7 @@ def run_pipeline(
     profile = inconsistency_profile(full) if full.n >= 3 else None
     max_ti = profile.max_ti if profile else 1.0
     ki = 1.0 - 1.0 / max_ti
-    prefix = tuple(float(v) for v in (profile.theta[:theta_prefix_len] if profile else ()))
+    prefix = tuple(float(v) for v in (profile.theta[:THETA_PREFIX_LEN] if profile else ()))
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return PipelineReport(
         completion=completion,
@@ -138,14 +138,13 @@ def verify_theorem1(
     alphas: tuple[float, ...] = (2.0, 5.0, 9.0),
     seed: int = 0,
     n_min: int = 3,
-    completion: str = "lex",
 ) -> Theorem1Summary:
-    """Fuzz random connected DAGs through completion + both weightings.
+    """Fuzz random connected DAGs through lex completion + both weightings.
 
     Each trial builds a random CDAG, its incomplete matrix at one alpha,
-    completes it, derives weights by both the eigenvector and the log least
-    squares methods, and audits each weight vector for ordinal violations.
-    Deterministic given the seed.
+    completes it lexicographically, derives weights by both the eigenvector
+    and the log least squares methods, and audits each weight vector for
+    ordinal violations. Deterministic given the seed.
     """
     rng = np.random.default_rng(seed)
     violation_failures: list[TrialFailure] = []
@@ -159,7 +158,7 @@ def verify_theorem1(
         g = random_cdag(n, density, trial_seed)
         a = dag_to_incomplete_matrix(g, alpha)
         try:
-            full = complete_matrix(a, completion)
+            full = complete_matrix(a, "lex")
         except PcmError as exc:
             solver_failures.append(
                 TrialFailure(trial, n, alpha, trial_seed, "-", [], repr(exc), dumps_matrix(a))

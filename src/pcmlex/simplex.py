@@ -19,6 +19,7 @@ from .errors import ConvergenceFailureError, InfeasibleProblemError, UnboundedPr
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-9
 RATIO_TIE_TOL = 1e-12
+MAX_PIVOTS = 50_000  # per phase
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,9 @@ def _run_phase(
     basis: np.ndarray,
     cost: np.ndarray,
     allowed: np.ndarray,
-    max_iter: int,
 ) -> tuple[str, int]:
     m = T.shape[0]
-    for it in range(max_iter):
+    for it in range(MAX_PIVOTS):
         reduced = cost - cost[basis] @ T
         reduced[basis] = 0.0
         candidates = np.flatnonzero(allowed & (reduced < -PIVOT_TOL))
@@ -68,15 +68,10 @@ def _run_phase(
         ties = np.flatnonzero(ratios <= best + RATIO_TIE_TOL * (1.0 + abs(best)))
         leave = int(ties[np.argmin(basis[ties])])
         _pivot(T, rhs, basis, leave, enter)
-    raise ConvergenceFailureError(f"simplex exceeded {max_iter} pivots")
+    raise ConvergenceFailureError(f"simplex exceeded {MAX_PIVOTS} pivots")
 
 
-def solve_simplex(
-    c,
-    A,
-    b,
-    max_iter: int = 50_000,
-) -> SimplexResult:
+def solve_simplex(c, A, b) -> SimplexResult:
     """Two-phase simplex with duals from the optimal basis.
 
     Args:
@@ -90,7 +85,7 @@ def solve_simplex(
 
     Raises:
         InfeasibleProblemError / UnboundedProblemError: LP has no optimum.
-        ConvergenceFailureError: pivot cap exhausted.
+        ConvergenceFailureError: ``MAX_PIVOTS`` pivots in one phase.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).copy()
@@ -124,7 +119,7 @@ def solve_simplex(
         cost1 = np.zeros(ncols)
         cost1[art_cols] = 1.0
         allowed = np.ones(ncols, dtype=bool)
-        status, iters = _run_phase(T, rhs_work, basis, cost1, allowed, max_iter)
+        status, iters = _run_phase(T, rhs_work, basis, cost1, allowed)
         total_iters += iters
         if status == "unbounded":  # cannot happen: phase-1 objective >= 0
             raise InfeasibleProblemError("phase 1 reported unbounded")
@@ -157,7 +152,7 @@ def solve_simplex(
     cost2[:n] = c
     allowed = np.ones(ncols, dtype=bool)
     allowed[art_cols] = False
-    status, iters = _run_phase(T, rhs_work, basis, cost2, allowed, max_iter)
+    status, iters = _run_phase(T, rhs_work, basis, cost2, allowed)
     total_iters += iters
     if status == "unbounded":
         raise UnboundedProblemError("objective unbounded below")

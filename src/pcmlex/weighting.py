@@ -7,8 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    POWER_MAX_ITER,
-    POWER_TOL,
     CompleteMatrix,
     IncompleteMatrix,
     WeightVector,
@@ -27,18 +25,17 @@ class EigenResult:
     residual: float  # ||A w - lambda w||_inf / lambda
 
 
-def eigenvector_weights(
-    m: CompleteMatrix, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER
-) -> EigenResult:
+def eigenvector_weights(m: CompleteMatrix) -> EigenResult:
     """Perron eigenvector normalized to sum 1, via power iteration.
 
     Iteration starts from the uniform vector and stops once successive
-    normalized iterates differ by at most ``tol`` in the infinity norm.
+    normalized iterates differ by at most ``core.POWER_TOL`` in the
+    infinity norm.
 
     Raises:
-        ConvergenceFailureError: if ``max_iter`` is exhausted.
+        ConvergenceFailureError: if ``core.POWER_MAX_ITER`` is exhausted.
     """
-    w, lam, iters, residual = _power_iteration(m.entries, tol, max_iter)
+    w, lam, iters, residual = _power_iteration(m.entries)
     return EigenResult(WeightVector.from_raw(w), lam, iters, residual)
 
 

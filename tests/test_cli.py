@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pcmlex
 from pcmlex.cli import main
 from pcmlex.fileio import dumps_dag, dumps_matrix, loads_matrix
 from pcmlex.graph import build_dag
@@ -41,8 +44,14 @@ def fig2_file(tmp_path):
 
 
 def run_cli(*argv) -> subprocess.CompletedProcess:
+    # the child imports the same pcmlex as the tests, installed or not
+    src = str(Path(pcmlex.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "pcmlex", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "pcmlex", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -216,3 +225,18 @@ class TestSubprocessEntryPoints:
         proc = run_cli("--version")
         assert proc.returncode == 0
         assert "pcmlex" in proc.stdout
+
+
+class TestOptionRegistration:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["complete", "m.txt", "--method", "lex", "--tol", "1e-6"],
+            ["gen-dag", "5", "--tol", "1e-6"],
+        ],
+    )
+    def test_tol_where_unread_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err

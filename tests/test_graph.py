@@ -87,6 +87,16 @@ class TestReachable:
                 for k in range(g.n):
                     if (j, k) in reach:
                         assert (i, k) in reach
+            # the closure of the arcs: some power A^1 ... A^(n-1) links i to j
+            adj = np.zeros((g.n, g.n), dtype=int)
+            for i, j in g.arcs:
+                adj[i, j] = 1
+            closure = np.zeros((g.n, g.n), dtype=bool)
+            power = np.eye(g.n, dtype=int)
+            for _ in range(g.n - 1):
+                power = np.minimum(power @ adj, 1)
+                closure |= power.astype(bool)
+            assert reach == {tuple(map(int, p)) for p in np.argwhere(closure)}
 
 
 class TestDagToMatrix:
