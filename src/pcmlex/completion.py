@@ -49,6 +49,11 @@ class LexLpState:
     keeps the pair with z replaced by its ``bound``. Triads with no missing
     entry have a constant cycle sum; once frozen, their pair is vacuous and
     is dropped.
+
+    ``t`` is the point the next stage LP starts from: zeros from
+    ``build_lex_lp``, then each stage's optimum, written by ``solve_lp``.
+    Freezing a triad at the current objective keeps that optimum feasible,
+    because the triad's |cycle sum| is at most the objective there.
     """
 
     missing_pairs: tuple[tuple[int, int], ...]
@@ -57,6 +62,7 @@ class LexLpState:
     const: np.ndarray  # (T,) known part of each cycle sum (natural log)
     has_missing: np.ndarray  # (T,) bool
     bound: np.ndarray  # (T,) frozen bound on |cycle sum|, NaN while active
+    t: np.ndarray  # (m,) start point of the next stage LP
 
     @property
     def active(self) -> np.ndarray:
@@ -143,39 +149,59 @@ def build_lex_lp(
         const=const,
         has_missing=has_missing,
         bound=np.full(T, np.nan),
+        t=np.zeros(m),
     )
 
 
 def solve_lp(state: LexLpState) -> LpSolution:
-    """Solve the current stage LP; deterministic given the state.
+    """Solve the current stage LP from ``state.t``; deterministic given the state.
 
-    Free log variables are split into differences of nonnegative parts for
-    the simplex. Rows come in triad order, the +s row of each contributing
-    triad before its -s row. Each triad's dual is the sum of the duals on
-    its two rows, which equals the dual the bounding constraint z_l <= z
-    would carry in the unprojected formulation.
+    With s the cycle sums at ``state.t`` and z0 the largest |s| over the
+    active triads, the LP is written in the shifts t = state.t + d+ - d-
+    and z = z0 - w (d+, d-, w >= 0) and minimises -w:
+
+        active triad:  +coef @ d + w <= z0 - s,  -coef @ d + w <= z0 + s
+        frozen triad:  +coef @ d     <= bound - s,  -coef @ d <= bound + s
+
+    z0 >= |s| on every active row, and |s| <= bound on every frozen row
+    because ``state.t`` is an earlier stage's optimum, at which each triad
+    frozen since had |s| at most the objective it froze at. So every
+    right-hand side is >= 0 and x = 0 is a basic feasible start: the simplex
+    needs no phase 1. Right-hand sides in [-OBJ_RTOL * scale, 0) are
+    rounding and are passed as 0; more negative ones are passed as they are.
+
+    Rows come in triad order, the +s row of each contributing triad before
+    its -s row; the substitution changes only the sign of the z column and
+    the right-hand sides, so the row duals are those of the LP in t and z.
+    Each triad's dual is the sum of the duals on its two rows, which equals
+    the dual the bounding constraint z_l <= z would carry in the unprojected
+    formulation. The optimum is written back to ``state.t``.
     """
     active = state.active
     rows = np.flatnonzero(active | state.has_missing)
-    coef, const = state.coef[rows], state.const[rows]
+    coef, s = state.coef[rows], state.cycle_sums(state.t)[rows]
     m = coef.shape[1]
-    zcol = np.where(active[rows], -1.0, 0.0)[:, None]
-    bound = np.where(active[rows], 0.0, state.bound[rows])
+    on = active[rows]
+    z0 = float(np.max(np.abs(s[on]), initial=0.0))
+    wcol = on.astype(float)[:, None]
+    bound = np.where(on, z0, state.bound[rows])
     A = np.empty((2 * len(rows), 2 * m + 1))
-    A[0::2] = np.hstack([coef, -coef, zcol])
-    A[1::2] = np.hstack([-coef, coef, zcol])
+    A[0::2] = np.hstack([coef, -coef, wcol])
+    A[1::2] = np.hstack([-coef, coef, wcol])
     b = np.empty(2 * len(rows))
-    b[0::2] = bound - const
-    b[1::2] = bound + const
+    b[0::2] = bound - s
+    b[1::2] = bound + s
     c = np.zeros(2 * m + 1)
-    c[-1] = 1.0
-    res = solve_simplex(c, A, b)
+    c[-1] = -1.0 if on.any() else 0.0  # with every triad frozen there is no z
+    rounding = (b < 0.0) & (b >= -OBJ_RTOL * state.scale)
+    res = solve_simplex(c, A, np.where(rounding, 0.0, b))
 
     duals = np.zeros(len(state.triads))
     duals[rows] = res.duals[0::2] + res.duals[1::2]
+    state.t = state.t + res.x[:m] - res.x[m : 2 * m]
     return LpSolution(
-        objective=res.objective,
-        t=res.x[:m] - res.x[m : 2 * m],
+        objective=z0 + res.objective,
+        t=state.t,
         duals=duals,
         feasibility_residual=float(np.max(A @ res.x - b, initial=0.0)),
         duality_gap=abs(res.objective - float(b @ res.duals)) if len(b) else 0.0,
@@ -223,8 +249,15 @@ def lex_optimal_completion(
     does not depend on the unit of the log entries, such as the alpha of a
     DAG matrix), freeze one bottleneck triad at the current objective,
     remove it from the active set and re-solve; stop when the objective is
-    (numerically) zero or no active triad remains. The audit lists frozen
-    triads with TI = exp(bound) in freeze order, which is non-increasing.
+    (numerically) zero or no active triad remains. Each stage starts from
+    the previous one's optimum (see ``solve_lp``).
+
+    The audit lists frozen triads with TI = exp(bound), in freeze order,
+    which is non-increasing, except that each run of consecutive freezes
+    whose bounds lie within ``OBJ_RTOL`` times max |const| of the run's first
+    is sorted by triad. Which triad of a tie freezes first depends on the LP
+    vertex, so this canonical order keeps the pivot path and the LP backend
+    out of the audit; stages are numbered 1..k in that order.
 
     A complete input is returned unchanged with an empty audit. The optimum
     is unique on connected comparison graphs, so ``triad_order`` (exposed
@@ -235,7 +268,7 @@ def lex_optimal_completion(
     state = build_lex_lp(a, triad_order=triad_order)
     zero = OBJ_RTOL * state.scale
     sol = solve_lp(state)
-    audit: list[FreezeRecord] = []
+    order: list[int] = []  # triad positions in freeze order
     while sol.objective > zero:
         pos = _select_freeze(state, sol)
         frozen = [pos]
@@ -243,19 +276,28 @@ def lex_optimal_completion(
             # Constant triads tied at the same cycle sum must all freeze at
             # this level before the objective can drop; the LP optimum is
             # unchanged while any of them stays active, so freeze the whole
-            # tie (pos first, then the rest in index order) without re-solves.
+            # tie without re-solves.
             gap = np.abs(np.abs(state.const) - abs(state.const[pos]))
-            tied = state.active & ~state.has_missing & (gap <= zero)
-            tied[pos] = False
-            frozen += np.flatnonzero(tied).tolist()
-        ti = math.exp(sol.objective)
+            frozen = np.flatnonzero(state.active & ~state.has_missing & (gap <= zero))
         for p in frozen:
             state.freeze(p, sol.objective)
-            audit.append(FreezeRecord(state.triads[p], ti, len(audit) + 1))
+        order.extend(int(p) for p in frozen)
         if not state.active.any():
             break
         sol = solve_lp(state)
 
+    runs: list[list[int]] = []
+    first = math.inf
+    for p in order:
+        if abs(state.bound[p] - first) > zero:
+            first = state.bound[p]
+            runs.append([])
+        runs[-1].append(p)
+    canonical = [p for run in runs for p in sorted(run, key=lambda p: state.triads[p])]
+    audit = [
+        FreezeRecord(state.triads[p], math.exp(state.bound[p]), stage)
+        for stage, p in enumerate(canonical, 1)
+    ]
     rows, cols = np.array(state.missing_pairs).T
     return CompleteMatrix._trusted(_fill_missing(a.entries, rows, cols, sol.t)), audit
 

@@ -53,11 +53,10 @@ def _canonical_reciprocal(values: np.ndarray, known: np.ndarray) -> np.ndarray:
     n = values.shape[0]
     out = np.full((n, n), np.nan)
     np.fill_diagonal(out, 1.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if known[i, j]:
-                out[i, j] = values[i, j]
-                out[j, i] = 1.0 / values[i, j]
+    i, j = np.nonzero(np.triu(known, 1))
+    upper = values[i, j]
+    out[i, j] = upper
+    out[j, i] = 1.0 / upper
     return out
 
 
@@ -128,16 +127,13 @@ class IncompleteMatrix:
 
     def comparison_graph_connected(self) -> bool:
         """True iff the undirected graph of known pairs is connected."""
-        n = self.n
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in range(n):
-                if v != u and self.known[u, v] and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == n
+        seen = np.zeros(self.n, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = self.known[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        return bool(seen.all())
 
     def to_complete(self) -> CompleteMatrix:
         if not self.is_complete:

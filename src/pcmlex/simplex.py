@@ -6,6 +6,10 @@ smallest basic variable index), which cannot cycle and makes every solve
 deterministic. Problems here are desk scale, a few hundred rows at most, so
 the tableau is kept dense and reduced costs are recomputed from scratch at
 every pivot; that costs the same as the pivot itself and avoids drift.
+
+Phase 1 (artificial variables for rows with b < 0) stays for general
+callers; the lexicographic completion never needs it, because each of its
+stage LPs is written in shifts from a feasible point, so every b >= 0.
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here goes through routes the library does not use: dense
-eigensolvers instead of power iteration, exhaustive grids instead of LPs or
-the quasi-Newton CR solve.
+eigensolvers instead of power iteration, exhaustive grids or SciPy's HiGHS
+instead of the in-house simplex, and grids instead of the quasi-Newton CR
+solve.
 """
 
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
 from pcmlex import IncompleteMatrix
 
@@ -38,6 +40,57 @@ def cycle_structure(a: IncompleteMatrix):
             else:
                 coef[pos, var_of[(p, q)]] += s
     return pairs, triads, const, coef
+
+
+def lex_highs_oracle(a: IncompleteMatrix):
+    """Lexicographic completion by successive HiGHS LPs on the cycle sums.
+
+    Each stage minimises z over free log variables t subject to |s| <= z on
+    the active triads and |s| <= bound on the frozen ones, then freezes at z
+    every active triad whose two rows carry a nonzero total marginal: a
+    constraint with a nonzero dual in some optimal dual solution is tight in
+    every optimal primal one (Nace & Orlin 2007). Marginals count as nonzero
+    above 1e-9; the stages stop once z is at most 1e-9 times max |const|.
+
+    Returns:
+        (entries, audit): the completed array and the (triad, TI) freezes.
+    """
+    if a.is_complete:
+        return a.entries.copy(), []
+    pairs, triads, const, coef = cycle_structure(a)
+    m = len(pairs)
+    zero = 1e-9 * np.abs(const).max()
+    bound = np.full(len(triads), np.nan)
+    has_missing = np.abs(coef).sum(axis=1) > 0
+    audit = []
+    while True:
+        active = np.isnan(bound)
+        rows = np.flatnonzero(active | has_missing)
+        zcol = np.where(active[rows], -1.0, 0.0)[:, None]
+        ub = np.where(active[rows], 0.0, bound[rows])
+        A = np.vstack([np.hstack([coef[rows], zcol]), np.hstack([-coef[rows], zcol])])
+        b = np.concatenate([ub - const[rows], ub + const[rows]])
+        c = np.zeros(m + 1)
+        c[-1] = 1.0
+        res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * m + [(0, None)], method="highs")
+        assert res.status == 0, res.message
+        t, z = res.x[:m], res.x[-1]
+        if z <= zero:
+            break
+        marginals = res.ineqlin.marginals
+        duals = np.zeros(len(triads))
+        duals[rows] = marginals[: len(rows)] + marginals[len(rows) :]
+        hit = np.flatnonzero(active & (np.abs(duals) > 1e-9))
+        assert hit.size, "no active triad prices the objective"
+        bound[hit] = z
+        audit += [(triads[p], float(np.exp(z))) for p in hit]
+        if not np.isnan(bound).any():
+            break
+    entries = a.entries.copy()
+    for e, (i, j) in enumerate(pairs):
+        entries[i, j] = np.exp(t[e])
+        entries[j, i] = np.exp(-t[e])
+    return entries, audit
 
 
 def sorted_theta_at(const: np.ndarray, coef: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import pcmlex.completion as completion
 from pcmlex import (
     TriadIndex,
     all_triads,
+    build_dag,
     build_lex_lp,
     cr_optimal_completion,
     dag_to_incomplete_matrix,
@@ -24,17 +26,45 @@ from pcmlex.errors import (
     NoMissingEntriesError,
 )
 
-from conftest import random_incomplete, random_reciprocal, random_tree_matrix
+from conftest import FIG2_ARCS_1BASED, random_incomplete, random_reciprocal, random_tree_matrix
 from oracles import (
     cr_lambda_grid_oracle,
     dense_lambda_max,
     dense_perron_vector,
+    lex_highs_oracle,
     lex_less_equal,
     lex_ti_grid_oracle,
 )
 
 LN2 = math.log(2.0)
 LN8 = math.log(8.0)
+
+
+def _traced_lex(monkeypatch, a):
+    """Lex completion of ``a`` with every simplex (b, pivots) and stage solution."""
+    simplex_calls, stages = [], []
+    simplex, stage_lp = completion.solve_simplex, completion.solve_lp
+
+    def recording_simplex(c, A, b):
+        res = simplex(c, A, b)
+        simplex_calls.append((np.asarray(b, dtype=float).copy(), res.iterations))
+        return res
+
+    def recording_lp(state):
+        sol = stage_lp(state)
+        stages.append(sol)
+        return sol
+
+    monkeypatch.setattr(completion, "solve_simplex", recording_simplex)
+    monkeypatch.setattr(completion, "solve_lp", recording_lp)
+    completion.lex_optimal_completion(a)
+    return simplex_calls, stages
+
+
+def _warm_start_inputs():
+    fig2 = build_dag(7, [(i - 1, j - 1) for i, j in FIG2_ARCS_1BASED])
+    cases = [pytest.param(fig2, alpha, id=f"fig2-{alpha}") for alpha in (1.1, 5.0, 9.0)]
+    return cases + [pytest.param(random_cdag(10, 0.3, 123), 5.0, id="cdag10-5.0")]
 
 
 class TestBuildLexLp:
@@ -91,11 +121,39 @@ class TestSolveLp:
         assert second.t[state.missing_pairs.index((0, 2))] / LN2 == pytest.approx(2.0, abs=1e-7)
         assert second.t[state.missing_pairs.index((0, 3))] / LN2 == pytest.approx(3.0, abs=1e-7)
 
+    def test_every_triad_frozen_objective_zero(self, example2):
+        state = build_lex_lp(example2)
+        for pos in range(len(state.triads)):
+            state.freeze(pos, 5.0)
+        sol = solve_lp(state)
+        assert sol.objective == 0.0
+        assert np.array_equal(sol.t, np.zeros(2))
+
     def test_tree_objective_zero(self):
         rng = np.random.default_rng(3)
         a = random_tree_matrix(5, rng)
         sol = solve_lp(build_lex_lp(a))
         assert sol.objective <= 1e-9
+
+    @pytest.mark.parametrize("dag,alpha", _warm_start_inputs())
+    def test_every_stage_starts_feasible(self, monkeypatch, dag, alpha):
+        # every stage LP starts at the previous optimum: no right-hand side is
+        # negative, so the simplex never runs phase 1
+        simplex_calls, stages = _traced_lex(monkeypatch, dag_to_incomplete_matrix(dag, alpha))
+        assert len(stages) > 1
+        assert len(simplex_calls) == len(stages)
+        for b, _ in simplex_calls:
+            assert np.all(b >= 0.0)
+        for sol in stages:
+            assert sol.feasibility_residual <= 1e-9
+            assert sol.duality_gap <= 1e-7
+
+    def test_pivot_count_pinned(self, monkeypatch):
+        # deterministic under Bland's rule; started from t = 0 at every stage
+        # the same completion takes about 40,000 pivots
+        a = dag_to_incomplete_matrix(random_cdag(10, 0.3, 123), 5.0)
+        simplex_calls, _ = _traced_lex(monkeypatch, a)
+        assert sum(pivots for _, pivots in simplex_calls) <= 4000
 
     def test_solution_invariants(self):
         rng = np.random.default_rng(5)
@@ -165,11 +223,31 @@ class TestLexCompletion:
         rng = np.random.default_rng(17)
         for trial in range(8):
             a = random_incomplete(5, 2, rng)
-            base, _ = lex_optimal_completion(a)
+            base, audit = lex_optimal_completion(a)
             triads = all_triads(5)
             perm = [triads[int(k)] for k in rng.permutation(len(triads))]
-            permuted, _ = lex_optimal_completion(a, triad_order=tuple(perm))
+            permuted, audit_p = lex_optimal_completion(a, triad_order=tuple(perm))
             assert np.max(np.abs(permuted.entries - base.entries)) <= 1e-7
+            # the canonical audit order does not depend on the triad order
+            assert [(f.triad, f.stage) for f in audit_p] == [(f.triad, f.stage) for f in audit]
+            assert [f.ti for f in audit_p] == pytest.approx([f.ti for f in audit], rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_matches_highs_oracle_on_cdags(self, n):
+        seed = 1000 * n
+        for alpha in (2.0, 5.0, 9.0):
+            while True:
+                g = random_cdag(n, 0.4, seed)
+                seed += 1
+                if len(g.arcs) < n * (n - 1) // 2:
+                    break
+            _assert_matches_highs(dag_to_incomplete_matrix(g, alpha))
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_matches_highs_oracle_on_random_matrices(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(3):
+            _assert_matches_highs(random_incomplete(n, int(rng.integers(1, n - 1)), rng))
 
     def test_dominance_transfer_on_cdags(self):
         rng = np.random.default_rng(19)
@@ -281,6 +359,17 @@ class TestGciCompletion:
         for i in range(6):
             for j in range(i + 1, 6):
                 assert g.entries[j, i] == 1.0 / g.entries[i, j]
+
+
+def _assert_matches_highs(a):
+    """Entries and (triad, TI) freeze multiset agree with successive HiGHS LPs."""
+    m, audit = lex_optimal_completion(a)
+    entries, oracle_audit = lex_highs_oracle(a)
+    assert np.max(np.abs(np.log(m.entries) - np.log(entries))) <= 1e-9
+    ours = sorted((tuple(f.triad), f.ti) for f in audit)
+    theirs = sorted((tuple(tr), ti) for tr, ti in oracle_audit)
+    assert [tr for tr, _ in ours] == [tr for tr, _ in theirs]
+    assert [ti for _, ti in ours] == pytest.approx([ti for _, ti in theirs], rel=1e-9)
 
 
 def _permuted(a, perm):

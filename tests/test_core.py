@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from pcmlex import (
     CompleteMatrix,
+    IncompleteMatrix,
     TriadIndex,
     WeightVector,
     check_ordinal_violation,
@@ -26,7 +28,7 @@ from pcmlex.errors import (
     ReciprocityViolationError,
 )
 
-from conftest import EXAMPLE2_RAW, random_reciprocal
+from conftest import EXAMPLE2_RAW, random_incomplete, random_reciprocal
 from oracles import dense_lambda_max
 
 # The worked example completed at its optimum x13 = 4, x14 = 8.
@@ -96,6 +98,31 @@ class TestValidation:
                 for j in range(i + 1, n):
                     # lower triangle is derived, not independently stored
                     assert m.entries[j, i] == 1.0 / m.entries[i, j]
+
+    def test_canonical_entries_match_loop_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(3, 8))
+            a = random_incomplete(n, int(rng.integers(0, n - 1)), rng)
+            raw = np.where(a.known, a.entries, None)
+            expected = np.full((n, n), np.nan)
+            for i in range(n):
+                expected[i, i] = 1.0
+                for j in range(i + 1, n):
+                    if raw[i, j] is not None:
+                        expected[i, j] = raw[i, j]
+                        expected[j, i] = 1.0 / raw[i, j]
+            assert np.array_equal(validate_reciprocal(raw).entries, expected, equal_nan=True)
+
+    def test_comparison_graph_connected_matches_csgraph(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(2, 10))
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.6), 1)
+            known = upper | upper.T | np.eye(n, dtype=bool)
+            a = IncompleteMatrix(n, np.where(known, 1.0, np.nan), known)
+            n_components, _ = connected_components(upper, directed=False)
+            assert a.comparison_graph_connected() == (n_components == 1)
 
     def test_nan_treated_as_missing(self):
         m = validate_reciprocal(
