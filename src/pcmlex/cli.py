@@ -17,6 +17,7 @@ from . import __version__
 from .completion import FreezeRecord, lex_optimal_completion
 from .core import IncompleteMatrix, check_ordinal_violation
 from .errors import (
+    AlphaNotGreaterThanOneError,
     DisconnectedComparisonGraphError,
     DisconnectedError,
     PcmError,
@@ -315,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, ValueError) as exc:
+    except (ParseError, OSError, ValueError, AlphaNotGreaterThanOneError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DisconnectedComparisonGraphError, DisconnectedError) as exc:

@@ -166,9 +166,11 @@ def solve_lp(state: LexLpState) -> LpSolution:
     z0 >= |s| on every active row, and |s| <= bound on every frozen row
     because ``state.t`` is an earlier stage's optimum, at which each triad
     frozen since had |s| at most the objective it froze at. So every
-    right-hand side is >= 0 and x = 0 is a basic feasible start: the simplex
-    needs no phase 1. Right-hand sides in [-OBJ_RTOL * scale, 0) are
-    rounding and are passed as 0; more negative ones are passed as they are.
+    right-hand side is >= 0 and x = 0 is a basic feasible start for the
+    one-phase simplex. Right-hand sides in [-OBJ_RTOL * scale, 0) are
+    rounding and are passed as 0; a more negative one means ``state.t`` is
+    not feasible for the stage, and ``solve_simplex`` raises
+    InfeasibleProblemError.
 
     Rows come in triad order, the +s row of each contributing triad before
     its -s row; the substitution changes only the sign of the z column and

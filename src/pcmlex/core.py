@@ -193,20 +193,8 @@ def _as_value_mask(raw) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(raw, dtype=object)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"expected a square array, got shape {arr.shape}")
-    n = arr.shape[0]
-    values = np.full((n, n), np.nan)
-    known = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            v = arr[i, j]
-            if v is None:
-                continue
-            f = float(v)
-            if np.isnan(f):
-                continue
-            values[i, j] = f
-            known[i, j] = True
-    return values, known
+    values = np.where(np.equal(arr, None), np.nan, arr).astype(float)
+    return values, ~np.isnan(values)
 
 
 def validate_reciprocal(raw) -> IncompleteMatrix:
@@ -228,39 +216,42 @@ def validate_reciprocal(raw) -> IncompleteMatrix:
     if n < 2:
         raise NonSquareError("matrix order must be at least 2")
 
-    for i in range(n):
+    diag_dev = np.abs(np.diag(values) - 1.0)
+    bad_diag = np.flatnonzero(~np.diag(known) | (diag_dev > RECIPROCITY_RTOL))
+    if bad_diag.size:
+        i = int(bad_diag[0])
         if not known[i, i]:
             raise AsymmetricMissingnessError(f"diagonal entry ({i}, {i}) is missing")
-        if abs(values[i, i] - 1.0) > RECIPROCITY_RTOL:
-            raise ReciprocityViolationError(
-                f"diagonal entry ({i}, {i}) = {values[i, i]} must equal 1",
-                pair=(i, i),
-                deviation=abs(values[i, i] - 1.0),
-            )
+        raise ReciprocityViolationError(
+            f"diagonal entry ({i}, {i}) = {values[i, i]} must equal 1",
+            pair=(i, i),
+            deviation=diag_dev[i],
+        )
 
     bad = known & ~(values > 0)
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         raise NonPositiveEntryError(f"entry ({i}, {j}) = {values[i, j]} is not positive")
 
-    worst_pair, worst_dev = None, 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if known[i, j] != known[j, i]:
-                raise AsymmetricMissingnessError(
-                    f"entry ({i}, {j}) and ({j}, {i}) disagree on missingness"
-                )
-            if known[i, j]:
-                dev = abs(values[i, j] * values[j, i] - 1.0)
-                if dev > worst_dev:
-                    worst_pair, worst_dev = (i, j), dev
-    if worst_pair is not None and worst_dev > RECIPROCITY_RTOL:
-        i, j = worst_pair
+    upper_i, upper_j = np.triu_indices(n, 1)  # row-major
+    asymmetric = np.flatnonzero(known[upper_i, upper_j] != known[upper_j, upper_i])
+    if asymmetric.size:
+        i, j = int(upper_i[asymmetric[0]]), int(upper_j[asymmetric[0]])
+        raise AsymmetricMissingnessError(
+            f"entry ({i}, {j}) and ({j}, {i}) disagree on missingness"
+        )
+
+    # the first pair in row-major order with the largest |a_ij * a_ji - 1|
+    product = values[upper_i, upper_j] * values[upper_j, upper_i]
+    dev = np.where(known[upper_i, upper_j], np.abs(product - 1.0), 0.0)
+    k = int(np.argmax(dev))
+    if dev[k] > RECIPROCITY_RTOL:
+        i, j = int(upper_i[k]), int(upper_j[k])
         raise ReciprocityViolationError(
             f"entries ({i}, {j}) = {values[i, j]} and ({j}, {i}) = {values[j, i]} "
-            f"violate reciprocity (|a_ij * a_ji - 1| = {worst_dev:.3e})",
-            pair=worst_pair,
-            deviation=worst_dev,
+            f"violate reciprocity (|a_ij * a_ji - 1| = {dev[k]:.3e})",
+            pair=(i, j),
+            deviation=dev[k],
         )
 
     canon = _canonical_reciprocal(values, known)
@@ -385,16 +376,15 @@ def check_ordinal_violation(
         raise DimensionMismatchError(
             f"weight vector has length {wv.n}, matrix order is {a.n}"
         )
-    out: list[OrdinalViolation] = []
-    ww = wv.w
-    for i in range(a.n):
-        for j in range(a.n):
-            if i == j or not a.known[i, j]:
-                continue
-            v = a.entries[i, j]
-            if abs(v - 1.0) <= EQUALITY_WINDOW:
-                if i < j and abs(ww[i] - ww[j]) > eq_tol * max(ww[i], ww[j]):
-                    out.append(OrdinalViolation(i, j, float(v), ww[i], ww[j], "equality"))
-            elif v > 1.0 and ww[i] <= ww[j]:
-                out.append(OrdinalViolation(i, j, float(v), ww[i], ww[j], "strict"))
-    return out
+    i, j = np.nonzero(a.known)  # row-major
+    v, wi, wj = a.entries[i, j], wv.w[i], wv.w[j]
+    tie = np.abs(v - 1.0) <= EQUALITY_WINDOW
+    equality = tie & (i < j) & (np.abs(wi - wj) > eq_tol * np.maximum(wi, wj))
+    strict = ~tie & (i != j) & (v > 1.0) & (wi <= wj)
+    return [
+        OrdinalViolation(
+            int(i[k]), int(j[k]), float(v[k]), wi[k], wj[k],
+            "equality" if equality[k] else "strict",
+        )
+        for k in np.flatnonzero(equality | strict)
+    ]

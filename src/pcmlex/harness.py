@@ -7,6 +7,7 @@ derived weights against the stated (incomplete) preferences.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -226,7 +227,15 @@ class SweepRow:
 
 
 def alpha_grid(start: float = 1.1, stop: float = 10.0, step: float = 0.1) -> tuple[float, ...]:
-    """Inclusive grid start, start+step, ..., up to stop (within rounding)."""
+    """Inclusive grid start, start+step, ..., up to stop (within rounding).
+
+    Raises:
+        ValueError: step is not positive, stop is below start, or the span
+            is not finite.
+    """
+    if not (step > 0 and stop >= start and math.isfinite(stop - start)):
+        raise ValueError(f"alpha grid needs step > 0 and stop >= start, got "
+                         f"start={start}, stop={stop}, step={step}")
     count = int(round((stop - start) / step)) + 1
     return tuple(round(start + k * step, 12) for k in range(count))
 

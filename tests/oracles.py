@@ -1,9 +1,9 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here goes through routes the library does not use: dense
-eigensolvers instead of power iteration, exhaustive grids or SciPy's HiGHS
-instead of the in-house simplex, and grids instead of the quasi-Newton CR
-solve.
+eigensolvers or characteristic polynomials instead of power iteration,
+exhaustive grids or SciPy's HiGHS instead of the in-house simplex, and grids
+instead of the quasi-Newton CR solve.
 """
 
 import itertools
@@ -24,6 +24,40 @@ def dense_perron_vector(entries: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eig(entries)
     v = np.abs(vecs[:, np.argmax(vals.real)].real)
     return v / v.sum()
+
+
+def perron_root_batch(mats: np.ndarray) -> np.ndarray:
+    """Perron root of each positive matrix in a (B, n, n) stack.
+
+    The largest real root of the characteristic polynomial, whose
+    coefficients come from the power traces tr(A^k) by Newton's identities.
+    Newton's method starts at the largest row sum, an upper bound on the
+    Perron root r. Above r the polynomial is a product of positive,
+    increasing, convex factors (x - l for a real eigenvalue l, and
+    (x - a)^2 + b^2 for a conjugate pair a +/- ib, as a <= r), so it is
+    increasing and convex there and the iterates decrease to r; each stops
+    once a step no longer moves it down in floating point.
+    """
+    batch, n, _ = mats.shape
+    powers = [np.broadcast_to(np.eye(n), mats.shape), mats]
+    for _ in range((n + 1) // 2 - 1):
+        powers.append(powers[-1] @ mats)
+    # tr(A^k) = sum_ij (A^a)_ij (A^b)_ji with a + b = k
+    traces = [np.einsum("bij,bji->b", powers[(k + 1) // 2], powers[k // 2]) for k in range(n + 1)]
+    coeffs = [np.ones(batch)]  # x^n + c_1 x^(n-1) + ... + c_n
+    for k in range(1, n + 1):
+        coeffs.append(-sum(coeffs[k - i] * traces[i] for i in range(1, k + 1)) / k)
+    x = mats.sum(axis=2).max(axis=1)
+    for _ in range(200):
+        p, dp = np.ones(batch), np.zeros(batch)
+        for c in coeffs[1:]:
+            dp = dp * x + p
+            p = p * x + c
+        nxt = np.where(p > 0, x - p / dp, x)
+        if not (nxt < x).any():
+            return x
+        x = np.minimum(nxt, x)
+    raise RuntimeError("Newton iteration on the characteristic polynomial did not settle")
 
 
 def cycle_structure(a: IncompleteMatrix):
@@ -175,7 +209,7 @@ def cr_lambda_grid_oracle(
         for e, (i, j) in enumerate(pairs):
             mats[:, i, j] = np.exp(block[:, e])
             mats[:, j, i] = np.exp(-block[:, e])
-        return np.linalg.eigvals(mats).real.max(axis=1)
+        return perron_root_batch(mats)
 
     axes = [np.arange(-span, span + step / 2, step) for _ in range(len(pairs))]
     cur_step = step

@@ -210,6 +210,40 @@ class TestSweepAlphaCommand:
         assert out[0] == "alpha,method_pair,n_violations,max_ti,ki,lambda_max,runtime_ms"
         assert len(out) == 3
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--step", "0"],
+            ["--step", "-0.1"],
+            ["--alpha-min", "3", "--alpha-max", "2"],
+            ["--alpha-max", "inf"],
+            ["--alpha-min", "0.5", "--alpha-max", "1.5", "--step", "0.5"],
+            ["--alpha-min", "1", "--alpha-max", "1.5", "--step", "0.5"],
+        ],
+        ids=["step-zero", "step-negative", "max-below-min", "max-infinite", "alpha-below-one",
+             "alpha-one"],
+    )
+    def test_bad_grid_exit_2(self, fig2_file, grid, capsys):
+        code = main(["sweep-alpha", fig2_file, "--completion", "gci", "--weighting", "llsm",
+                     *grid])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+class TestAlphaNotGreaterThanOne:
+    def test_verify_theorem1_exit_2(self, capsys):
+        code = main(["verify-theorem1", "--trials", "2", "--n-max", "4", "--alphas", "1"])
+        assert code == 2
+        assert "must exceed 1" in capsys.readouterr().err
+
+    def test_pipeline_exit_2(self, fig2_file, capsys):
+        code = main(["pipeline", fig2_file, "--completion", "lex", "--weighting", "em",
+                     "--alpha", "1"])
+        assert code == 2
+        assert "must exceed 1" in capsys.readouterr().err
+
 
 class TestSubprocessEntryPoints:
     def test_module_invocation(self, ex2_file):

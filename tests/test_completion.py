@@ -23,6 +23,7 @@ from pcmlex import (
 )
 from pcmlex.errors import (
     DisconnectedComparisonGraphError,
+    InfeasibleProblemError,
     NoMissingEntriesError,
 )
 
@@ -138,7 +139,7 @@ class TestSolveLp:
     @pytest.mark.parametrize("dag,alpha", _warm_start_inputs())
     def test_every_stage_starts_feasible(self, monkeypatch, dag, alpha):
         # every stage LP starts at the previous optimum: no right-hand side is
-        # negative, so the simplex never runs phase 1
+        # negative, so x = 0 is a feasible start for the one-phase simplex
         simplex_calls, stages = _traced_lex(monkeypatch, dag_to_incomplete_matrix(dag, alpha))
         assert len(stages) > 1
         assert len(simplex_calls) == len(stages)
@@ -147,6 +148,19 @@ class TestSolveLp:
         for sol in stages:
             assert sol.feasibility_residual <= 1e-9
             assert sol.duality_gap <= 1e-7
+
+    def test_start_off_the_optimum_raises(self, example2):
+        # a frozen triad whose |cycle sum| at t exceeds its bound by more than
+        # rounding leaves x = 0 infeasible; solve_lp must not return
+        state = build_lex_lp(example2)
+        sol = solve_lp(state)
+        pos = int(np.flatnonzero(state.has_missing)[0])
+        state.freeze(pos, sol.objective)
+        state.t = state.t + 3.0 * (sol.objective + 1.0) * state.coef[pos]
+        s = state.cycle_sums(state.t)[pos]
+        assert abs(s) - state.bound[pos] > completion.OBJ_RTOL * state.scale
+        with pytest.raises(InfeasibleProblemError):
+            solve_lp(state)
 
     def test_pivot_count_pinned(self, monkeypatch):
         # deterministic under Bland's rule; started from t = 0 at every stage

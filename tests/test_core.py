@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from fractions import Fraction
+
 from pcmlex import (
     CompleteMatrix,
     IncompleteMatrix,
@@ -19,6 +21,7 @@ from pcmlex import (
     triad_ti,
     validate_reciprocal,
 )
+from pcmlex.core import EQUALITY_WINDOW, RECIPROCITY_RTOL, OrdinalViolation, _as_value_mask
 from pcmlex.errors import (
     AsymmetricMissingnessError,
     DimensionMismatchError,
@@ -47,6 +50,82 @@ def example2_theta_oracle(x13: float, x14: float) -> np.ndarray:
     ti_134 = max(x14 / x13, x13 / x14)
     ti_234 = max(8, 1 / 8)
     return np.sort([ti_123, ti_124, ti_134, ti_234])[::-1]
+
+
+def loop_value_mask(raw):
+    """Element-by-element reference for ``_as_value_mask`` on a raw array."""
+    arr = np.asarray(raw, dtype=object)
+    n = arr.shape[0]
+    values = np.full((n, n), np.nan)
+    known = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if arr[i, j] is not None and not np.isnan(float(arr[i, j])):
+                values[i, j] = float(arr[i, j])
+                known[i, j] = True
+    return values, known
+
+
+def loop_validation_error(raw):
+    """(type, message, pair, deviation) of the first defect, pair by pair; None if valid."""
+    values, known = loop_value_mask(raw)
+    n = values.shape[0]
+    for i in range(n):
+        if not known[i, i]:
+            return AsymmetricMissingnessError, f"diagonal entry ({i}, {i}) is missing", None, None
+        if abs(values[i, i] - 1.0) > RECIPROCITY_RTOL:
+            dev = abs(values[i, i] - 1.0)
+            msg = f"diagonal entry ({i}, {i}) = {values[i, i]} must equal 1"
+            return ReciprocityViolationError, msg, (i, i), dev
+    for i in range(n):
+        for j in range(n):
+            if known[i, j] and not values[i, j] > 0:
+                msg = f"entry ({i}, {j}) = {values[i, j]} is not positive"
+                return NonPositiveEntryError, msg, None, None
+    worst_pair, worst_dev = None, 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if known[i, j] != known[j, i]:
+                msg = f"entry ({i}, {j}) and ({j}, {i}) disagree on missingness"
+                return AsymmetricMissingnessError, msg, None, None
+            if known[i, j]:
+                dev = abs(values[i, j] * values[j, i] - 1.0)
+                if dev > worst_dev:
+                    worst_pair, worst_dev = (i, j), dev
+    if worst_dev > RECIPROCITY_RTOL:
+        i, j = worst_pair
+        msg = (
+            f"entries ({i}, {j}) = {values[i, j]} and ({j}, {i}) = {values[j, i]} "
+            f"violate reciprocity (|a_ij * a_ji - 1| = {worst_dev:.3e})"
+        )
+        return ReciprocityViolationError, msg, worst_pair, worst_dev
+    return None
+
+
+def defective_raw(rng):
+    """Random reciprocal object array with a few missing pairs and random defects."""
+    n = int(rng.integers(2, 8))
+    raw = random_reciprocal(n, rng).astype(object)
+    for i, j in zip(*np.triu_indices(n, 1)):
+        if rng.random() < 0.2:
+            raw[i, j] = raw[j, i] = None if rng.random() < 0.5 else np.nan
+    for _ in range(int(rng.integers(0, 4))):
+        i, j = (int(x) for x in rng.integers(0, n, 2))
+        kind = rng.integers(0, 5)
+        if kind == 0:  # diagonal off 1, or missing
+            raw[i, i] = rng.choice([None, 1.0 + 1e-12, 1.0 + 1e-6, 0.5])
+        elif kind == 1:  # one-sided missing entry
+            raw[i, j] = None
+        elif kind == 2:  # reciprocity broken, by more or less than the tolerance
+            if raw[i, j] is not None:
+                raw[i, j] = float(raw[i, j]) * (1.0 + rng.choice([1e-12, 1e-8, 1e-3]))
+        elif kind == 3:  # the same deviation on two pairs: the first must be reported
+            for k, m in (i, j), tuple(int(x) for x in rng.integers(0, n, 2)):
+                if k != m:
+                    raw[k, m], raw[m, k] = 2.0, 0.4
+        else:  # not positive
+            raw[i, j] = rng.choice([0.0, -1.0])
+    return raw
 
 
 class TestValidation:
@@ -113,6 +192,42 @@ class TestValidation:
                         expected[i, j] = raw[i, j]
                         expected[j, i] = 1.0 / raw[i, j]
             assert np.array_equal(validate_reciprocal(raw).entries, expected, equal_nan=True)
+
+    def test_value_mask_matches_loop_reference(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            pool = [None, np.nan, float("nan"), 1, 2.5, Fraction(1, 3), "4", np.float32(0.5)]
+            raw = np.empty((n, n), dtype=object)
+            for i, j in itertools.product(range(n), repeat=2):
+                raw[i, j] = pool[int(rng.integers(0, len(pool)))]
+            values, known = _as_value_mask(raw)
+            expected_values, expected_known = loop_value_mask(raw)
+            assert values.dtype == float
+            assert np.array_equal(values, expected_values, equal_nan=True)
+            assert np.array_equal(known, expected_known)
+
+    def test_errors_match_loop_reference(self):
+        rng = np.random.default_rng(17)
+        seen = set()
+        for _ in range(600):
+            raw = defective_raw(rng)
+            expected = loop_validation_error(raw)
+            if expected is None:
+                validate_reciprocal(raw)
+                seen.add(None)
+                continue
+            kind, message, pair, deviation = expected
+            with pytest.raises(kind) as exc:
+                validate_reciprocal(raw)
+            assert str(exc.value) == message
+            if kind is ReciprocityViolationError:
+                assert exc.value.pair == pair
+                assert exc.value.deviation == deviation
+            seen.add((kind, message.split()[0]))
+        # every branch was reached: valid, both missingness errors, both
+        # reciprocity errors, and non-positive entries
+        assert len(seen) == 6
 
     def test_comparison_graph_connected_matches_csgraph(self):
         rng = np.random.default_rng(11)
@@ -297,6 +412,42 @@ class TestOrdinalViolation:
             w = llsm_weights(m)
             inc = validate_reciprocal(m.entries.astype(object))
             assert check_ordinal_violation(inc, w) == []
+
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(29)
+        window = EQUALITY_WINDOW
+        count = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 8))
+            upper = rng.choice(
+                [1.0, 1.0 + 0.5 * window, 1.0 - 0.5 * window, 1.0 + 2 * window, 2.0, 0.5, 3.0],
+                size=(n, n),
+            )
+            raw = np.triu(upper, 1) + np.tril(1.0 / upper.T, -1) + np.eye(n)
+            raw = raw.astype(object)
+            for i, j in zip(*np.triu_indices(n, 1)):
+                if rng.random() < 0.2:
+                    raw[i, j] = raw[j, i] = None
+            a = validate_reciprocal(raw)
+            w = rng.choice([1.0, 1.0 + 1e-12, 2.0, 3.0], size=n)
+            eq_tol = float(rng.choice([1e-9, 1e-13]))
+            wv = WeightVector.from_raw(w).w
+            expected = []
+            for i in range(n):
+                for j in range(n):
+                    if i == j or not a.known[i, j]:
+                        continue
+                    v = a.entries[i, j]
+                    if abs(v - 1.0) <= window:
+                        if i < j and abs(wv[i] - wv[j]) > eq_tol * max(wv[i], wv[j]):
+                            expected.append(OrdinalViolation(i, j, v, wv[i], wv[j], "equality"))
+                    elif v > 1.0 and wv[i] <= wv[j]:
+                        expected.append(OrdinalViolation(i, j, v, wv[i], wv[j], "strict"))
+            got = check_ordinal_violation(a, w, eq_tol=eq_tol)
+            assert got == expected
+            assert [type(x.i) for x in got] == [int] * len(got)
+            count += len(got)
+        assert count > 100
 
     def test_missing_pairs_are_ignored(self, example2):
         # only known pairs can violate; (0,2) and (0,3) never appear

@@ -74,6 +74,23 @@ class TestSweep:
         assert grid[-1] == pytest.approx(10.0)
         assert len(grid) == 90
 
+    @pytest.mark.parametrize(
+        "start,stop,step",
+        [
+            (1.1, 10.0, 0.0),
+            (1.1, 10.0, -0.1),
+            (3.0, 2.0, 0.1),
+            (1.1, 10.0, float("nan")),
+            (1.1, float("inf"), 0.1),
+        ],
+    )
+    def test_alpha_grid_rejects_empty_or_endless(self, start, stop, step):
+        with pytest.raises(ValueError):
+            alpha_grid(start, stop, step)
+
+    def test_alpha_grid_single_point(self):
+        assert alpha_grid(2.0, 2.0, 0.5) == (2.0,)
+
     def test_sweep_rows_structure(self, fig2_dag):
         rows = sweep_alpha(fig2_dag, "lex", "llsm", alphas=(2.0, 3.0))
         assert [r.alpha for r in rows] == [2.0, 3.0]
