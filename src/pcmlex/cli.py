@@ -17,9 +17,9 @@ from . import __version__
 from .completion import FreezeRecord, lex_optimal_completion
 from .core import IncompleteMatrix, check_ordinal_violation
 from .errors import (
-    AlphaNotGreaterThanOneError,
     DisconnectedComparisonGraphError,
     DisconnectedError,
+    InvalidInputError,
     PcmError,
 )
 from .fileio import (
@@ -81,7 +81,7 @@ def _load_input(path: str, kind: str) -> IncompleteMatrix | PreferenceDag:
         return loads_dag(text)
     try:
         return loads_matrix(text)
-    except (ParseError, PcmError):
+    except ParseError:
         return loads_dag(text)
 
 
@@ -316,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, ValueError, AlphaNotGreaterThanOneError) as exc:
+    except (ParseError, OSError, ValueError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DisconnectedComparisonGraphError, DisconnectedError) as exc:

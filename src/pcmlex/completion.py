@@ -1,8 +1,9 @@
 """Completion of incomplete comparison matrices by three optimality targets.
 
 * lexicographically optimal: sorted triad-inconsistency vector is
-  lexicographically minimal, found by successive LPs over log-space
-  variables with dual-guided freezing of bottleneck triads;
+  lexicographically minimal, found by successive min-max LPs over
+  log-space variables, each stage freezing every triad that is tight at
+  every optimum of that stage;
 * GCI-optimal: missing entries filled with ratios of the incomplete
   log-least-squares weights;
 * CR-optimal: missing entries minimize the dominant eigenvalue, found by
@@ -34,8 +35,7 @@ from .simplex import solve_simplex
 from .weighting import incomplete_llsm_weights
 
 OBJ_RTOL = 1e-9  # objective below this times max |const| counts as zero
-DEGENERATE_MATCH_RTOL = 1e-7  # |cycle sum| this close (relative) matches the objective
-DUAL_TOL = 1e-9  # absolute: the active duals sum to -1, so they carry no scale
+DUAL_TOL = 1e-9  # |triad dual| above this freezes it; absolute, as the active duals sum to -1
 
 
 @dataclass
@@ -80,7 +80,7 @@ class LexLpState:
         contributing = self.active | self.has_missing
         return 2 * int(contributing.sum())
 
-    def freeze(self, pos: int, bound: float) -> None:
+    def freeze(self, pos: int | np.ndarray, bound: float) -> None:
         self.bound[pos] = bound
 
     def cycle_sums(self, t: np.ndarray) -> np.ndarray:
@@ -210,29 +210,6 @@ def solve_lp(state: LexLpState) -> LpSolution:
     )
 
 
-def _select_freeze(state: LexLpState, sol: LpSolution) -> int:
-    """Position of the active triad to freeze at the current objective.
-
-    Primary rule: the active triad whose bounding pair carries the largest
-    |dual| above ``DUAL_TOL``, ties broken by smallest triad index.
-    Degenerate fallback when every active dual vanishes: the first active
-    triad whose |cycle sum| is within ``DEGENERATE_MATCH_RTOL * scale`` of
-    the objective.
-    """
-    active = state.active
-    mags = np.where(active, np.abs(sol.duals), 0.0)
-    pos = int(np.argmax(mags))
-    if mags[pos] > DUAL_TOL:
-        return pos
-    gaps = np.abs(np.abs(state.cycle_sums(sol.t)) - sol.objective)
-    match = np.flatnonzero(active & (gaps <= DEGENERATE_MATCH_RTOL * state.scale))
-    if match.size:
-        return int(match[0])
-    raise NoBindingDualFoundError(
-        f"objective {sol.objective:.3e} > 0 but no active constraint prices it"
-    )
-
-
 def _fill_missing(base: np.ndarray, rows, cols, t) -> np.ndarray:
     """Copy of ``base`` with exp(t) at (rows, cols) and the reciprocals at (cols, rows)."""
     m = base.copy()
@@ -249,10 +226,14 @@ def lex_optimal_completion(
     Runs the successive-LP scheme: solve, and while the objective exceeds
     ``OBJ_RTOL`` times max |const| (the scale of the data, so the result
     does not depend on the unit of the log entries, such as the alpha of a
-    DAG matrix), freeze one bottleneck triad at the current objective,
-    remove it from the active set and re-solve; stop when the objective is
-    (numerically) zero or no active triad remains. Each stage starts from
-    the previous one's optimum (see ``solve_lp``).
+    DAG matrix), freeze at the objective every active triad tight at every
+    optimum of the stage and re-solve, until the objective is (numerically)
+    zero or no active triad remains. A triad whose |dual| exceeds
+    ``DUAL_TOL`` is tight at every optimum by complementary slackness (the
+    saturation step of lexicographic min-max LP; Nace & Orlin 2007), and so
+    is a constant one (no missing entry) whose |cycle sum| is within the
+    zero tolerance of the objective. Each stage starts from the previous
+    one's optimum (see ``solve_lp``).
 
     The audit lists frozen triads with TI = exp(bound), in freeze order,
     which is non-increasing, except that each run of consecutive freezes
@@ -272,18 +253,13 @@ def lex_optimal_completion(
     sol = solve_lp(state)
     order: list[int] = []  # triad positions in freeze order
     while sol.objective > zero:
-        pos = _select_freeze(state, sol)
-        frozen = [pos]
-        if not state.has_missing[pos]:
-            # Constant triads tied at the same cycle sum must all freeze at
-            # this level before the objective can drop; the LP optimum is
-            # unchanged while any of them stays active, so freeze the whole
-            # tie without re-solves.
-            gap = np.abs(np.abs(state.const) - abs(state.const[pos]))
-            frozen = np.flatnonzero(state.active & ~state.has_missing & (gap <= zero))
-        for p in frozen:
-            state.freeze(p, sol.objective)
-        order.extend(int(p) for p in frozen)
+        tight = np.abs(sol.duals) > DUAL_TOL
+        tight |= ~state.has_missing & (np.abs(np.abs(state.const) - sol.objective) <= zero)
+        batch = np.flatnonzero(state.active & tight)
+        if not batch.size:  # the w column makes the active duals sum to -1
+            raise NoBindingDualFoundError(f"objective {sol.objective:.3e} > 0, no triad tight")
+        state.freeze(batch, sol.objective)
+        order.extend(batch.tolist())
         if not state.active.any():
             break
         sol = solve_lp(state)

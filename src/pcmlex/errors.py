@@ -7,21 +7,25 @@ class PcmError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInputError(PcmError):
+    """Base class for malformed input: matrices, weights, graphs and alpha."""
+
+
 # -- matrix validation ------------------------------------------------------
 
-class NonSquareError(PcmError):
+class NonSquareError(InvalidInputError):
     """Input array is not square."""
 
 
-class NonPositiveEntryError(PcmError):
+class NonPositiveEntryError(InvalidInputError):
     """A known entry is zero or negative."""
 
 
-class AsymmetricMissingnessError(PcmError):
+class AsymmetricMissingnessError(InvalidInputError):
     """Entry (i, j) is missing while (j, i) is known."""
 
 
-class ReciprocityViolationError(PcmError):
+class ReciprocityViolationError(InvalidInputError):
     """a_ji deviates from 1 / a_ij beyond tolerance.
 
     Carries the worst offending pair as ``pair`` and its relative deviation
@@ -39,13 +43,13 @@ class MatrixTooSmallError(PcmError):
     """Operation needs n >= 3 (no triads exist below that)."""
 
 
-class DimensionMismatchError(PcmError):
+class DimensionMismatchError(InvalidInputError):
     """Weight vector length differs from the matrix order."""
 
 
 # -- graph construction -----------------------------------------------------
 
-class CycleDetectedError(PcmError):
+class CycleDetectedError(InvalidInputError):
     """Directed graph contains a cycle; ``cycle`` holds one witness."""
 
     def __init__(self, message: str, cycle: list[int] | None = None):
@@ -61,11 +65,11 @@ class DisconnectedError(PcmError):
         self.components = components or []
 
 
-class BidirectionalArcError(PcmError):
+class BidirectionalArcError(InvalidInputError):
     """Arc set contains both (i, j) and (j, i)."""
 
 
-class AlphaNotGreaterThanOneError(PcmError):
+class AlphaNotGreaterThanOneError(InvalidInputError):
     """Preference intensity alpha must be strictly greater than 1."""
 
 

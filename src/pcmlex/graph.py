@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -162,10 +163,14 @@ def _reach_matrix(g: PreferenceDag) -> np.ndarray:
     return reach
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (alpha > 1.0 and math.isfinite(alpha)):
+        raise AlphaNotGreaterThanOneError(f"alpha = {alpha} must exceed 1 and be finite")
+
+
 def dag_to_incomplete_matrix(g: PreferenceDag, alpha: float) -> IncompleteMatrix:
     """Incomplete matrix with a_ij = alpha per arc (i, j), others missing."""
-    if not alpha > 1.0:
-        raise AlphaNotGreaterThanOneError(f"alpha = {alpha} must exceed 1")
+    _check_alpha(alpha)
     n = g.n
     values = np.full((n, n), np.nan)
     known = np.eye(n, dtype=bool)
@@ -184,8 +189,7 @@ def transitive_closure_matrix(g: PreferenceDag, alpha: float) -> CompleteMatrix:
     Pairs connected in neither direction get c_ij = 1; the lower triangle is
     reciprocal. Every triad of the result has inconsistency at most alpha.
     """
-    if not alpha > 1.0:
-        raise AlphaNotGreaterThanOneError(f"alpha = {alpha} must exceed 1")
+    _check_alpha(alpha)
     n = g.n
     reach = _reach_matrix(g)
     c = np.ones((n, n))

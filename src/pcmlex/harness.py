@@ -146,7 +146,16 @@ def verify_theorem1(
     completes it lexicographically, derives weights by both the eigenvector
     and the log least squares methods, and audits each weight vector for
     ordinal violations. Deterministic given the seed.
+
+    Raises:
+        ValueError: trials < 1, not 2 <= n_min <= n_max, or no alphas.
     """
+    if trials < 1:
+        raise ValueError(f"trials = {trials} must be at least 1")
+    if not 2 <= n_min <= n_max:
+        raise ValueError(f"need 2 <= n_min <= n_max, got n_min = {n_min}, n_max = {n_max}")
+    if not alphas:
+        raise ValueError("alphas must hold at least one alpha")
     rng = np.random.default_rng(seed)
     violation_failures: list[TrialFailure] = []
     solver_failures: list[TrialFailure] = []

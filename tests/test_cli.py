@@ -197,6 +197,21 @@ class TestVerifyTheorem1Command:
         second = capsys.readouterr().out.split("elapsed")[0]
         assert first == second
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["--trials", "3", "--n-min", "6", "--n-max", "4"], "n_min"),
+            (["--trials", "0"], "trials"),
+        ],
+        ids=["empty-size-range", "no-trials"],
+    )
+    def test_empty_run_exit_2(self, argv, name, capsys):
+        code = main(["verify-theorem1", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "PASS" not in captured.out
+        assert name in captured.err
+
 
 class TestSweepAlphaCommand:
     def test_csv_output(self, fig2_file, capsys):
@@ -243,6 +258,57 @@ class TestAlphaNotGreaterThanOne:
                      "--alpha", "1"])
         assert code == 2
         assert "must exceed 1" in capsys.readouterr().err
+
+
+NON_RECIPROCAL_TEXT = "3\n1 2 *\n2 1 3\n* 1/3 1\n"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command,files",
+        [
+            (["complete", "{m}", "--method", "lex"], {"m": NON_RECIPROCAL_TEXT}),
+            (["complete", "{m}", "--method", "gci"], {"m": "1\n1\n"}),
+            (["complete", "{m}", "--method", "lex"], {"m": "3\n1 -2 *\n-1/2 1 1\n* 1 1\n"}),
+            (["complete", "{m}", "--method", "lex"], {"m": "3\n1 2 *\n1/2 1 1\n4 1 1\n"}),
+            (["check-violations", "{m}", "--weights", "{w}"],
+             {"m": "2\n1 2\n0.5 1\n", "w": "0.2 0.3 0.5\n"}),
+            (["check-violations", "{m}", "--weights", "{w}"],
+             {"m": "2\n1 2\n0.5 1\n", "w": "0.5 0\n"}),
+            (["pipeline", "{g}", "--completion", "lex", "--weighting", "em", "--alpha", "2"],
+             {"g": "3\n1 2\n2 3\n3 1\n"}),
+            (["sweep-alpha", "{g}", "--completion", "lex", "--weighting", "em"],
+             {"g": "3\n1 2\n2 3\n3 1\n"}),
+            (["pipeline", "{g}", "--completion", "lex", "--weighting", "em", "--alpha", "2"],
+             {"g": "3\n1 2\n2 1\n2 3\n"}),
+        ],
+        ids=["non-reciprocal", "order-one", "non-positive-entry", "asymmetric-missing",
+             "weights-wrong-length", "weight-zero", "pipeline-cyclic-dag",
+             "sweep-cyclic-dag", "bidirectional-arc"],
+    )
+    def test_exit_2(self, tmp_path, command, files, capsys):
+        paths = {}
+        for key, text in files.items():
+            paths[key] = tmp_path / f"{key}.txt"
+            paths[key].write_text(text)
+        code = main([arg.format(**paths) for arg in command])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+
+    def test_auto_input_kind_keeps_matrix_error(self, tmp_path, capsys):
+        f = tmp_path / "m.txt"
+        f.write_text(NON_RECIPROCAL_TEXT)
+        code = main(["pipeline", str(f), "--completion", "lex", "--weighting", "em"])
+        assert code == 2
+        assert "reciprocity" in capsys.readouterr().err
+
+    def test_infinite_alpha_exit_2(self, fig2_file):
+        proc = run_cli("pipeline", fig2_file, "--completion", "lex", "--weighting", "em",
+                       "--alpha", "inf")
+        assert proc.returncode == 2
+        assert "alpha" in proc.stderr
+        assert "Warning" not in proc.stderr
 
 
 class TestSubprocessEntryPoints:

@@ -24,6 +24,7 @@ from pcmlex import (
 from pcmlex.errors import (
     DisconnectedComparisonGraphError,
     InfeasibleProblemError,
+    NoBindingDualFoundError,
     NoMissingEntriesError,
 )
 
@@ -168,6 +169,32 @@ class TestSolveLp:
         a = dag_to_incomplete_matrix(random_cdag(10, 0.3, 123), 5.0)
         simplex_calls, _ = _traced_lex(monkeypatch, a)
         assert sum(pivots for _, pivots in simplex_calls) <= 4000
+
+    def test_lp_count_pinned(self, monkeypatch):
+        # each stage freezes every triad tight at every optimum at once; one
+        # triad per stage LP takes 108 LPs on the same completion
+        a = dag_to_incomplete_matrix(random_cdag(10, 0.3, 123), 5.0)
+        _, stages = _traced_lex(monkeypatch, a)
+        assert len(stages) <= 90
+
+    def test_no_tight_triad_raises(self, monkeypatch, example2):
+        # all-zero duals at a positive objective that no constant triad
+        # matches leave the batch empty; re-solving would repeat the stage
+        calls = []
+
+        def unpriced_lp(state):
+            calls.append(1)
+            if len(calls) > 5:
+                raise AssertionError("lex loop re-solved an unchanged stage")
+            sol = solve_lp(state)
+            return completion.LpSolution(
+                0.5 * sol.objective, sol.t, np.zeros_like(sol.duals), 0.0, 0.0
+            )
+
+        monkeypatch.setattr(completion, "solve_lp", unpriced_lp)
+        with pytest.raises(NoBindingDualFoundError):
+            completion.lex_optimal_completion(example2)
+        assert len(calls) == 1
 
     def test_solution_invariants(self):
         rng = np.random.default_rng(5)

@@ -131,6 +131,12 @@ class TestDagToMatrix:
         with pytest.raises(AlphaNotGreaterThanOneError):
             dag_to_incomplete_matrix(fig2_dag, 1.0)
 
+    @pytest.mark.parametrize("build", [dag_to_incomplete_matrix, transitive_closure_matrix])
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+    def test_alpha_must_be_finite(self, fig2_dag, build, alpha):
+        with pytest.raises(AlphaNotGreaterThanOneError, match=f"alpha = {alpha}"):
+            build(fig2_dag, alpha)
+
     def test_round_trip_arcs(self):
         rng = np.random.default_rng(29)
         for trial in range(20):

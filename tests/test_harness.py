@@ -58,6 +58,21 @@ class TestVerifyTheorem1:
         summary = verify_theorem1(trials=3, n_max=2, n_min=2, seed=9)
         assert summary.passed
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            (dict(trials=0, n_max=5), "trials"),
+            (dict(trials=-1, n_max=5), "trials"),
+            (dict(trials=3, n_max=4, n_min=6), "n_min"),
+            (dict(trials=3, n_max=1, n_min=1), "n_min"),
+            (dict(trials=3, n_max=5, alphas=()), "alphas"),
+        ],
+        ids=["no-trials", "negative-trials", "min-above-max", "n-below-two", "no-alphas"],
+    )
+    def test_rejects_empty_runs(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            verify_theorem1(**kwargs)
+
     def test_gci_completion_fails_somewhere(self, fig2_dag):
         # sanity check that the harness can see violations at all: the
         # weight-ratio completion is known to break ordinal order on the
