@@ -137,8 +137,7 @@ def _cmd_check_violations(args) -> int:
         tokens = Path(args.weights).read_text().split()
         w = np.array([float(t) for t in tokens])
     elif args.method:
-        full = a.to_complete() if a.is_complete else complete_matrix(a, "lex")
-        w = derive_weights(full, args.method).w
+        w = derive_weights(complete_matrix(a, "lex"), args.method).w
     else:
         raise ParseError("provide --weights FILE or --method {em,llsm}")
     violations = check_ordinal_violation(a, w, eq_tol=args.tol)

@@ -3,7 +3,7 @@
 * lexicographically optimal: sorted triad-inconsistency vector is
   lexicographically minimal, found by successive min-max LPs over
   log-space variables, each stage freezing every triad that is tight at
-  every optimum of that stage;
+  every optimum of that stage, whose cycle sum later stages keep fixed;
 * GCI-optimal: missing entries filled with ratios of the incomplete
   log-least-squares weights;
 * CR-optimal: missing entries minimize the dominant eigenvalue, found by
@@ -36,6 +36,7 @@ from .weighting import incomplete_llsm_weights
 
 OBJ_RTOL = 1e-9  # objective below this times max |const| counts as zero
 DUAL_TOL = 1e-9  # |triad dual| above this freezes it; absolute, as the active duals sum to -1
+RANK_TOL = 1e-9  # rank cut for integer cycle-sum rows on an orthonormal basis; not data-scaled
 
 
 @dataclass
@@ -45,24 +46,26 @@ class LexLpState:
     One cycle-sum per triad: s = log a_ij + log a_jk - log a_ik over the
     triad's three pairs, where known entries contribute to ``const`` and
     missing ones a +/-1 coefficient on their log variable. Each active
-    triad contributes the constraint pair s <= z, -s <= z; a frozen triad
-    keeps the pair with z replaced by its ``bound``. Triads with no missing
-    entry have a constant cycle sum; once frozen, their pair is vacuous and
-    is dropped.
+    triad contributes the constraint pair s <= z, -s <= z.
+
+    A frozen triad is tight at every optimum of every later stage (each is
+    optimal for every earlier stage), and a |cycle sum| constant and > 0 on
+    a convex set means a constant cycle sum: an equality on t, not two rows.
+    ``basis`` holds orthonormal columns spanning the directions that leave
+    every frozen cycle sum unchanged; ``freeze`` removes the span of the
+    frozen rows from it, and later stages move t only within it.
 
     ``t`` is the point the next stage LP starts from: zeros from
     ``build_lex_lp``, then each stage's optimum, written by ``solve_lp``.
-    Freezing a triad at the current objective keeps that optimum feasible,
-    because the triad's |cycle sum| is at most the objective there.
     """
 
     missing_pairs: tuple[tuple[int, int], ...]
     triads: tuple[TriadIndex, ...]
     coef: np.ndarray  # (T, m) coefficients of cycle sums on log variables
     const: np.ndarray  # (T,) known part of each cycle sum (natural log)
-    has_missing: np.ndarray  # (T,) bool
     bound: np.ndarray  # (T,) frozen bound on |cycle sum|, NaN while active
     t: np.ndarray  # (m,) start point of the next stage LP
+    basis: np.ndarray  # (m, k) orthonormal directions that keep frozen cycle sums fixed
 
     @property
     def active(self) -> np.ndarray:
@@ -76,12 +79,14 @@ class LexLpState:
 
     @property
     def constraint_count(self) -> int:
-        """Constraint rows currently in the LP (two per contributing triad)."""
-        contributing = self.active | self.has_missing
-        return 2 * int(contributing.sum())
+        """Constraint rows currently in the LP (two per active triad)."""
+        return 2 * int(self.active.sum())
 
     def freeze(self, pos: int | np.ndarray, bound: float) -> None:
         self.bound[pos] = bound
+        _, sv, vt = np.linalg.svd(np.atleast_2d(self.coef[pos] @ self.basis))
+        rank = int(np.sum(sv > RANK_TOL))
+        self.basis = self.basis @ vt[rank:].T
 
     def cycle_sums(self, t: np.ndarray) -> np.ndarray:
         return self.const + self.coef @ t
@@ -141,66 +146,56 @@ def build_lex_lp(
                 const[pos] += s * math.log(a.entries[p, q])
             else:
                 coef[pos, var_of[(p, q)]] += s
-    has_missing = np.abs(coef).sum(axis=1) > 0
     return LexLpState(
         missing_pairs=missing,
         triads=triads,
         coef=coef,
         const=const,
-        has_missing=has_missing,
         bound=np.full(T, np.nan),
         t=np.zeros(m),
+        basis=np.eye(m),
     )
 
 
 def solve_lp(state: LexLpState) -> LpSolution:
     """Solve the current stage LP from ``state.t``; deterministic given the state.
 
-    With s the cycle sums at ``state.t`` and z0 the largest |s| over the
-    active triads, the LP is written in the shifts t = state.t + d+ - d-
-    and z = z0 - w (d+, d-, w >= 0) and minimises -w:
+    With s the cycle sums of the active triads at ``state.t``, z0 the
+    largest |s| and C = coef[active] @ basis, the LP is written in the
+    shifts t = state.t + basis @ (d+ - d-) and z = z0 - w (d+, d-, w >= 0)
+    and minimises -w:
 
-        active triad:  +coef @ d + w <= z0 - s,  -coef @ d + w <= z0 + s
-        frozen triad:  +coef @ d     <= bound - s,  -coef @ d <= bound + s
+        +C @ d + w <= z0 - s,  -C @ d + w <= z0 + s
 
-    z0 >= |s| on every active row, and |s| <= bound on every frozen row
-    because ``state.t`` is an earlier stage's optimum, at which each triad
-    frozen since had |s| at most the objective it froze at. So every
-    right-hand side is >= 0 and x = 0 is a basic feasible start for the
-    one-phase simplex. Right-hand sides in [-OBJ_RTOL * scale, 0) are
-    rounding and are passed as 0; a more negative one means ``state.t`` is
-    not feasible for the stage, and ``solve_simplex`` raises
-    InfeasibleProblemError.
+    Every right-hand side is >= 0, so x = 0 is a basic feasible start for
+    the one-phase simplex. Frozen triads have no rows: moving within
+    ``basis`` leaves their cycle sums where the stage that froze them left
+    them.
 
-    Rows come in triad order, the +s row of each contributing triad before
-    its -s row; the substitution changes only the sign of the z column and
-    the right-hand sides, so the row duals are those of the LP in t and z.
+    Rows come in triad order, the +s row of each active triad before its
+    -s row; the substitution changes only the sign of the z column and the
+    right-hand sides, so the row duals are those of the LP in t and z.
     Each triad's dual is the sum of the duals on its two rows, which equals
     the dual the bounding constraint z_l <= z would carry in the unprojected
-    formulation. The optimum is written back to ``state.t``.
+    formulation; frozen triads get 0. The optimum is written back to
+    ``state.t``.
     """
-    active = state.active
-    rows = np.flatnonzero(active | state.has_missing)
-    coef, s = state.coef[rows], state.cycle_sums(state.t)[rows]
-    m = coef.shape[1]
-    on = active[rows]
-    z0 = float(np.max(np.abs(s[on]), initial=0.0))
-    wcol = on.astype(float)[:, None]
-    bound = np.where(on, z0, state.bound[rows])
-    A = np.empty((2 * len(rows), 2 * m + 1))
-    A[0::2] = np.hstack([coef, -coef, wcol])
-    A[1::2] = np.hstack([-coef, coef, wcol])
-    b = np.empty(2 * len(rows))
-    b[0::2] = bound - s
-    b[1::2] = bound + s
-    c = np.zeros(2 * m + 1)
-    c[-1] = -1.0 if on.any() else 0.0  # with every triad frozen there is no z
-    rounding = (b < 0.0) & (b >= -OBJ_RTOL * state.scale)
-    res = solve_simplex(c, A, np.where(rounding, 0.0, b))
+    rows = np.flatnonzero(state.active)
+    C = state.coef[rows] @ state.basis
+    s = state.cycle_sums(state.t)[rows]
+    k = C.shape[1]
+    z0 = float(np.max(np.abs(s), initial=0.0))
+    sign = np.tile([1.0, -1.0], len(rows))  # +s row, then -s row, of each triad
+    signed = sign[:, None] * np.repeat(C, 2, axis=0)
+    A = np.hstack([signed, -signed, np.ones((len(sign), 1))])
+    b = z0 - sign * np.repeat(s, 2)
+    c = np.zeros(2 * k + 1)
+    c[-1] = -1.0 if len(rows) else 0.0  # with every triad frozen there is no z
+    res = solve_simplex(c, A, b)
 
     duals = np.zeros(len(state.triads))
     duals[rows] = res.duals[0::2] + res.duals[1::2]
-    state.t = state.t + res.x[:m] - res.x[m : 2 * m]
+    state.t = state.t + state.basis @ (res.x[:k] - res.x[k : 2 * k])
     return LpSolution(
         objective=z0 + res.objective,
         t=state.t,
@@ -231,9 +226,11 @@ def lex_optimal_completion(
     zero or no active triad remains. A triad whose |dual| exceeds
     ``DUAL_TOL`` is tight at every optimum by complementary slackness (the
     saturation step of lexicographic min-max LP; Nace & Orlin 2007), and so
-    is a constant one (no missing entry) whose |cycle sum| is within the
-    zero tolerance of the objective. Each stage starts from the previous
-    one's optimum (see ``solve_lp``).
+    is one whose cycle sum is fixed on the subspace the frozen triads leave
+    free (its row of coef @ basis is within ``RANK_TOL`` of 0: no missing
+    entry, or pinned by earlier freezes) with |cycle sum| within the zero
+    tolerance of the objective. Each stage starts from the previous one's
+    optimum and moves only within that subspace (see ``solve_lp``).
 
     The audit lists frozen triads with TI = exp(bound), in freeze order,
     which is non-increasing, except that each run of consecutive freezes
@@ -254,7 +251,8 @@ def lex_optimal_completion(
     order: list[int] = []  # triad positions in freeze order
     while sol.objective > zero:
         tight = np.abs(sol.duals) > DUAL_TOL
-        tight |= ~state.has_missing & (np.abs(np.abs(state.const) - sol.objective) <= zero)
+        fixed = np.all(np.abs(state.coef @ state.basis) <= RANK_TOL, axis=1)
+        tight |= fixed & (np.abs(np.abs(state.cycle_sums(sol.t)) - sol.objective) <= zero)
         batch = np.flatnonzero(state.active & tight)
         if not batch.size:  # the w column makes the active duals sum to -1
             raise NoBindingDualFoundError(f"objective {sol.objective:.3e} > 0, no triad tight")
@@ -289,10 +287,10 @@ def gci_optimal_completion(a: IncompleteMatrix) -> CompleteMatrix:
     if a.is_complete:
         return a.to_complete()
     w = incomplete_llsm_weights(a).w
+    rows, cols = np.array(a.missing_pairs).T
     values = a.entries.copy()
-    for i, j in a.missing_pairs:
-        values[i, j] = w[i] / w[j]
-        values[j, i] = 1.0 / values[i, j]
+    values[rows, cols] = w[rows] / w[cols]
+    values[cols, rows] = 1.0 / values[rows, cols]
     return CompleteMatrix._trusted(values)
 
 

@@ -160,8 +160,8 @@ class WeightVector:
         w = np.asarray(raw, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise DimensionMismatchError("weight vector must be 1-D with n >= 2")
-        if np.any(w <= 0):
-            raise NonPositiveEntryError("weights must be strictly positive")
+        if not np.all((w > 0) & np.isfinite(w)):
+            raise NonPositiveEntryError("weights must be finite and strictly positive")
         return cls(_freeze(w / w.sum()))
 
     @property

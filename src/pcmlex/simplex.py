@@ -7,8 +7,10 @@ ties in the ratio test leave by the smallest basic variable index), which
 cannot cycle and makes every solve deterministic. Problems here are desk
 scale, a few hundred rows at most, so the tableau is kept dense and reduced
 costs are recomputed from scratch at every pivot; that costs the same as
-the pivot itself and avoids drift. The lexicographic completion writes each
-stage LP in shifts from a feasible point, so its b is >= 0 (``solve_lp``).
+the pivot itself and avoids drift. The tableau's slack block is the inverse
+of the basis matrix, so the optimal row duals are minus the slack reduced
+costs of the last pass. The lexicographic completion writes each stage LP
+in shifts from a feasible point, so its b is >= 0 (``solve_lp``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class SimplexResult:
 
 
 def solve_simplex(c, A, b) -> SimplexResult:
-    """Simplex from the slack basis, with duals from the optimal basis.
+    """Simplex from the slack basis, with duals from the optimal tableau.
 
     Args:
         c: objective coefficients, length n.
@@ -60,8 +62,7 @@ def solve_simplex(c, A, b) -> SimplexResult:
         raise InfeasibleProblemError(f"right-hand side b[{i}] = {b[i]:.3e} is negative")
 
     # Equality form [A | I][x; s] = b with the slacks as the starting basis.
-    E = np.hstack([A, np.eye(m)])
-    T = E.copy()
+    T = np.hstack([A, np.eye(m)])
     rhs = b.copy()
     basis = np.arange(n, n + m)
     cost = np.concatenate([c, np.zeros(m)])
@@ -95,5 +96,5 @@ def solve_simplex(c, A, b) -> SimplexResult:
     x_full = np.zeros(n + m)
     x_full[basis] = rhs
     x = x_full[:n]
-    duals = np.linalg.solve(E[:, basis].T, cost[basis])
+    duals = -reduced[n:]  # the slack block of T is B^-1, so reduced[n:] = -cost_B B^-1
     return SimplexResult(x=x, objective=float(c @ x), duals=duals, iterations=it)

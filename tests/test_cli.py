@@ -275,6 +275,8 @@ class TestMalformedInput:
              {"m": "2\n1 2\n0.5 1\n", "w": "0.2 0.3 0.5\n"}),
             (["check-violations", "{m}", "--weights", "{w}"],
              {"m": "2\n1 2\n0.5 1\n", "w": "0.5 0\n"}),
+            (["check-violations", "{m}", "--weights", "{w}"],
+             {"m": "3\n1 2 *\n1/2 1 3\n* 1/3 1\n", "w": "0.1 nan 0.5\n"}),
             (["pipeline", "{g}", "--completion", "lex", "--weighting", "em", "--alpha", "2"],
              {"g": "3\n1 2\n2 3\n3 1\n"}),
             (["sweep-alpha", "{g}", "--completion", "lex", "--weighting", "em"],
@@ -283,7 +285,7 @@ class TestMalformedInput:
              {"g": "3\n1 2\n2 1\n2 3\n"}),
         ],
         ids=["non-reciprocal", "order-one", "non-positive-entry", "asymmetric-missing",
-             "weights-wrong-length", "weight-zero", "pipeline-cyclic-dag",
+             "weights-wrong-length", "weight-zero", "weight-nan", "pipeline-cyclic-dag",
              "sweep-cyclic-dag", "bidirectional-arc"],
     )
     def test_exit_2(self, tmp_path, command, files, capsys):

@@ -23,7 +23,6 @@ from pcmlex import (
 )
 from pcmlex.errors import (
     DisconnectedComparisonGraphError,
-    InfeasibleProblemError,
     NoBindingDualFoundError,
     NoMissingEntriesError,
 )
@@ -150,18 +149,33 @@ class TestSolveLp:
             assert sol.feasibility_residual <= 1e-9
             assert sol.duality_gap <= 1e-7
 
-    def test_start_off_the_optimum_raises(self, example2):
-        # a frozen triad whose |cycle sum| at t exceeds its bound by more than
-        # rounding leaves x = 0 infeasible; solve_lp must not return
-        state = build_lex_lp(example2)
-        sol = solve_lp(state)
-        pos = int(np.flatnonzero(state.has_missing)[0])
-        state.freeze(pos, sol.objective)
-        state.t = state.t + 3.0 * (sol.objective + 1.0) * state.coef[pos]
-        s = state.cycle_sums(state.t)[pos]
-        assert abs(s) - state.bound[pos] > completion.OBJ_RTOL * state.scale
-        with pytest.raises(InfeasibleProblemError):
-            solve_lp(state)
+    @pytest.mark.parametrize("dag,alpha", _warm_start_inputs())
+    def test_frozen_cycle_sums_stay_fixed(self, monkeypatch, dag, alpha):
+        # after every freeze the basis is orthonormal and moves no frozen
+        # cycle sum; every later stage's optimum keeps each frozen |s| at its bound
+        freeze, stage_lp = completion.LexLpState.freeze, completion.solve_lp
+        freezes, later = [], []
+
+        def checking_freeze(state, pos, bound):
+            freeze(state, pos, bound)
+            k = state.basis.shape[1]
+            assert np.max(np.abs(state.basis.T @ state.basis - np.eye(k)), initial=0.0) <= 1e-12
+            frozen = state.coef[~state.active] @ state.basis
+            assert np.all(np.abs(frozen) <= completion.RANK_TOL)
+            freezes.append(k)
+
+        def checking_lp(state):
+            sol = stage_lp(state)
+            frozen = ~state.active
+            s = np.abs(state.cycle_sums(sol.t)[frozen])
+            assert np.all(np.abs(s - state.bound[frozen]) <= completion.OBJ_RTOL * state.scale)
+            later.append(int(frozen.sum()))
+            return sol
+
+        monkeypatch.setattr(completion.LexLpState, "freeze", checking_freeze)
+        monkeypatch.setattr(completion, "solve_lp", checking_lp)
+        completion.lex_optimal_completion(dag_to_incomplete_matrix(dag, alpha))
+        assert len(freezes) > 1 and max(later) > 0
 
     def test_pivot_count_pinned(self, monkeypatch):
         # deterministic under Bland's rule; started from t = 0 at every stage
@@ -171,11 +185,19 @@ class TestSolveLp:
         assert sum(pivots for _, pivots in simplex_calls) <= 4000
 
     def test_lp_count_pinned(self, monkeypatch):
-        # each stage freezes every triad tight at every optimum at once; one
-        # triad per stage LP takes 108 LPs on the same completion
+        # each stage freezes every triad tight at every optimum at once, and
+        # every triad the frozen ones pin; 30 LPs now, 77 with frozen triads
+        # kept as inequality rows, 108 with one freeze per stage LP
         a = dag_to_incomplete_matrix(random_cdag(10, 0.3, 123), 5.0)
         _, stages = _traced_lex(monkeypatch, a)
-        assert len(stages) <= 90
+        assert len(stages) <= 40
+
+    def test_lp_count_pinned_n12(self, monkeypatch):
+        # 55 LPs now, 139 with frozen triads kept as inequality rows
+        a = dag_to_incomplete_matrix(random_cdag(12, 0.3, 123), 5.0)
+        _, stages = _traced_lex(monkeypatch, a)
+        assert len(stages) <= 70
+        _assert_matches_highs(a)
 
     def test_no_tight_triad_raises(self, monkeypatch, example2):
         # all-zero duals at a positive objective that no constant triad

@@ -464,3 +464,8 @@ class TestWeightVector:
     def test_positive_required(self):
         with pytest.raises(NonPositiveEntryError):
             WeightVector.from_raw([1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_finite_required(self, bad):
+        with pytest.raises(NonPositiveEntryError):
+            WeightVector.from_raw([0.1, bad, 0.5])
