@@ -2,8 +2,10 @@
 
 * lexicographically optimal: sorted triad-inconsistency vector is
   lexicographically minimal, found by successive min-max LPs over
-  log-space variables, each stage freezing every triad that is tight at
-  every optimum of that stage, whose cycle sum later stages keep fixed;
+  log-space variables. Each stage freezes the triads its duals price,
+  then every triad those freezes pin at the stage level; later stages keep
+  every frozen cycle sum fixed. Once no free direction is left, the
+  remaining levels are read off by a sort, with no LP;
 * GCI-optimal: missing entries filled with ratios of the incomplete
   log-least-squares weights;
 * CR-optimal: missing entries minimize the dominant eigenvalue, found by
@@ -54,6 +56,8 @@ class LexLpState:
     ``basis`` holds orthonormal columns spanning the directions that leave
     every frozen cycle sum unchanged; ``freeze`` removes the span of the
     frozen rows from it, and later stages move t only within it.
+    ``projected`` = coef @ basis, each cycle sum's row on those directions;
+    a triad whose row is 0 there has a cycle sum no later stage can move.
 
     ``t`` is the point the next stage LP starts from: zeros from
     ``build_lex_lp``, then each stage's optimum, written by ``solve_lp``.
@@ -66,6 +70,7 @@ class LexLpState:
     bound: np.ndarray  # (T,) frozen bound on |cycle sum|, NaN while active
     t: np.ndarray  # (m,) start point of the next stage LP
     basis: np.ndarray  # (m, k) orthonormal directions that keep frozen cycle sums fixed
+    projected: np.ndarray  # (T, k) coef @ basis
 
     @property
     def active(self) -> np.ndarray:
@@ -78,6 +83,11 @@ class LexLpState:
         return float(np.max(np.abs(self.const), initial=0.0))
 
     @property
+    def fixed(self) -> np.ndarray:
+        """(T,) bool, the triads whose cycle sum is constant on the free subspace."""
+        return np.all(np.abs(self.projected) <= RANK_TOL, axis=1)
+
+    @property
     def constraint_count(self) -> int:
         """Constraint rows currently in the LP (two per active triad)."""
         return 2 * int(self.active.sum())
@@ -87,6 +97,7 @@ class LexLpState:
         _, sv, vt = np.linalg.svd(np.atleast_2d(self.coef[pos] @ self.basis))
         rank = int(np.sum(sv > RANK_TOL))
         self.basis = self.basis @ vt[rank:].T
+        self.projected = self.coef @ self.basis
 
     def cycle_sums(self, t: np.ndarray) -> np.ndarray:
         return self.const + self.coef @ t
@@ -154,6 +165,7 @@ def build_lex_lp(
         bound=np.full(T, np.nan),
         t=np.zeros(m),
         basis=np.eye(m),
+        projected=coef.copy(),
     )
 
 
@@ -161,7 +173,7 @@ def solve_lp(state: LexLpState) -> LpSolution:
     """Solve the current stage LP from ``state.t``; deterministic given the state.
 
     With s the cycle sums of the active triads at ``state.t``, z0 the
-    largest |s| and C = coef[active] @ basis, the LP is written in the
+    largest |s| and C = projected[active], the LP is written in the
     shifts t = state.t + basis @ (d+ - d-) and z = z0 - w (d+, d-, w >= 0)
     and minimises -w:
 
@@ -181,14 +193,18 @@ def solve_lp(state: LexLpState) -> LpSolution:
     ``state.t``.
     """
     rows = np.flatnonzero(state.active)
-    C = state.coef[rows] @ state.basis
+    C = state.projected[rows]
     s = state.cycle_sums(state.t)[rows]
-    k = C.shape[1]
+    r, k = C.shape
     z0 = float(np.max(np.abs(s), initial=0.0))
-    sign = np.tile([1.0, -1.0], len(rows))  # +s row, then -s row, of each triad
-    signed = sign[:, None] * np.repeat(C, 2, axis=0)
-    A = np.hstack([signed, -signed, np.ones((len(sign), 1))])
-    b = z0 - sign * np.repeat(s, 2)
+    A = np.empty((2 * r, 2 * k + 1))  # +s row, then -s row, of each triad
+    A[0::2, :k] = C
+    A[1::2, :k] = -C
+    A[:, k : 2 * k] = -A[:, :k]
+    A[:, -1] = 1.0
+    b = np.empty(2 * r)
+    b[0::2] = z0 - s
+    b[1::2] = z0 + s
     c = np.zeros(2 * k + 1)
     c[-1] = -1.0 if len(rows) else 0.0  # with every triad frozen there is no z
     res = solve_simplex(c, A, b)
@@ -213,6 +229,23 @@ def _fill_missing(base: np.ndarray, rows, cols, t) -> np.ndarray:
     return m
 
 
+def _freeze_by_level(state: LexLpState, abs_s: np.ndarray, zero: float) -> list[int]:
+    """Freeze the active triads with |s| > zero, largest |s| first; their positions.
+
+    With no free direction left every cycle sum s is fixed, so each
+    remaining stage LP would return the largest active |s| and freeze the
+    triads within ``zero`` of it: one level, bounded by its largest |s|.
+    """
+    rest = np.flatnonzero(state.active & (abs_s > zero))
+    rest = rest[np.argsort(-abs_s[rest], kind="stable")]
+    top = math.inf
+    for p in rest:
+        if top - abs_s[p] > zero:
+            top = abs_s[p]
+        state.bound[p] = top
+    return rest.tolist()
+
+
 def lex_optimal_completion(
     a: IncompleteMatrix, triad_order: tuple[TriadIndex, ...] | None = None
 ) -> tuple[CompleteMatrix, list[FreezeRecord]]:
@@ -223,14 +256,19 @@ def lex_optimal_completion(
     does not depend on the unit of the log entries, such as the alpha of a
     DAG matrix), freeze at the objective every active triad tight at every
     optimum of the stage and re-solve, until the objective is (numerically)
-    zero or no active triad remains. A triad whose |dual| exceeds
-    ``DUAL_TOL`` is tight at every optimum by complementary slackness (the
-    saturation step of lexicographic min-max LP; Nace & Orlin 2007), and so
-    is one whose cycle sum is fixed on the subspace the frozen triads leave
-    free (its row of coef @ basis is within ``RANK_TOL`` of 0: no missing
-    entry, or pinned by earlier freezes) with |cycle sum| within the zero
-    tolerance of the objective. Each stage starts from the previous one's
-    optimum and moves only within that subspace (see ``solve_lp``).
+    zero or no active triad remains. Each stage freezes in two steps. First
+    the dual batch: a triad whose |dual| exceeds ``DUAL_TOL`` is tight at
+    every optimum by complementary slackness (the saturation step of
+    lexicographic min-max LP; Nace & Orlin 2007). Then the pinned triads:
+    on the subspace that batch leaves free, a triad whose cycle sum is fixed
+    (its row of ``projected`` within ``RANK_TOL`` of 0: no missing entry,
+    or pinned by this or earlier freezes) with |cycle sum| within the zero
+    tolerance of the objective is tight at every optimum too. Each stage
+    starts from the previous one's optimum and moves only within that
+    subspace (see ``solve_lp``). Once the subspace is empty every cycle sum
+    is fixed, and the remaining triads with |cycle sum| above the zero
+    tolerance freeze by a sort instead of LPs: largest first, in levels
+    bounded by their largest |cycle sum| (see ``_freeze_by_level``).
 
     The audit lists frozen triads with TI = exp(bound), in freeze order,
     which is non-increasing, except that each run of consecutive freezes
@@ -250,14 +288,18 @@ def lex_optimal_completion(
     sol = solve_lp(state)
     order: list[int] = []  # triad positions in freeze order
     while sol.objective > zero:
-        tight = np.abs(sol.duals) > DUAL_TOL
-        fixed = np.all(np.abs(state.coef @ state.basis) <= RANK_TOL, axis=1)
-        tight |= fixed & (np.abs(np.abs(state.cycle_sums(sol.t)) - sol.objective) <= zero)
-        batch = np.flatnonzero(state.active & tight)
+        batch = np.flatnonzero(state.active & (np.abs(sol.duals) > DUAL_TOL))
         if not batch.size:  # the w column makes the active duals sum to -1
             raise NoBindingDualFoundError(f"objective {sol.objective:.3e} > 0, no triad tight")
         state.freeze(batch, sol.objective)
-        order.extend(batch.tolist())
+        abs_s = np.abs(state.cycle_sums(sol.t))
+        at_level = np.abs(abs_s - sol.objective) <= zero
+        pinned = np.flatnonzero(state.active & state.fixed & at_level)
+        state.bound[pinned] = sol.objective  # rows already 0 on the basis: no SVD
+        order.extend(batch.tolist() + pinned.tolist())
+        if state.basis.shape[1] == 0:
+            order.extend(_freeze_by_level(state, abs_s, zero))
+            break
         if not state.active.any():
             break
         sol = solve_lp(state)

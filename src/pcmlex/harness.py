@@ -37,24 +37,33 @@ WEIGHTING_METHODS = ("em", "llsm")
 THETA_PREFIX_LEN = 5  # largest triad inconsistencies kept in a report
 
 
+def _check_method(kind: str, method: str, known: tuple[str, ...]) -> None:
+    if method not in known:
+        raise ValueError(f"unknown {kind} method {method!r}")
+
+
+def _check_methods(completion: str, weighting: str) -> None:
+    """Reject an unknown method name before any completion runs."""
+    _check_method("completion", completion, COMPLETION_METHODS)
+    _check_method("weighting", weighting, WEIGHTING_METHODS)
+
+
 def complete_matrix(a: IncompleteMatrix, method: str) -> CompleteMatrix:
     """Dispatch one completion method by name."""
+    _check_method("completion", method, COMPLETION_METHODS)
     if method == "lex":
         return lex_optimal_completion(a)[0]
     if method == "gci":
         return gci_optimal_completion(a)
-    if method == "cr":
-        return cr_optimal_completion(a)[0]
-    raise ValueError(f"unknown completion method {method!r}")
+    return cr_optimal_completion(a)[0]
 
 
 def derive_weights(m: CompleteMatrix, method: str) -> WeightVector:
     """Dispatch one weighting method by name."""
+    _check_method("weighting", method, WEIGHTING_METHODS)
     if method == "em":
         return eigenvector_weights(m).weights
-    if method == "llsm":
-        return llsm_weights(m)
-    raise ValueError(f"unknown weighting method {method!r}")
+    return llsm_weights(m)
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,12 @@ def run_pipeline(
     weighting: str,
     eq_tol: float = 1e-9,
 ) -> PipelineReport:
-    """Complete, weight, and audit one incomplete matrix."""
+    """Complete, weight, and audit one incomplete matrix.
+
+    Raises:
+        ValueError: unknown completion or weighting method, before any work.
+    """
+    _check_methods(completion, weighting)
     start = time.perf_counter()
     full = complete_matrix(a, completion)
     if weighting == "em":
@@ -260,7 +274,11 @@ def sweep_alpha(
 
     A solver failure at some alpha is recorded in that row (violation count
     -1, NaN metrics) and the sweep continues.
+
+    Raises:
+        ValueError: unknown completion or weighting method, before any alpha.
     """
+    _check_methods(completion, weighting)
     if alphas is None:
         alphas = alpha_grid()
     pair = f"{completion}+{weighting}"

@@ -5,12 +5,20 @@ is feasible because every b_i >= 0; a negative b_i is refused, as there is
 no phase 1. Pivoting follows Bland's rule (smallest eligible index enters;
 ties in the ratio test leave by the smallest basic variable index), which
 cannot cycle and makes every solve deterministic. Problems here are desk
-scale, a few hundred rows at most, so the tableau is kept dense and reduced
-costs are recomputed from scratch at every pivot; that costs the same as
-the pivot itself and avoids drift. The tableau's slack block is the inverse
-of the basis matrix, so the optimal row duals are minus the slack reduced
-costs of the last pass. The lexicographic completion writes each stage LP
-in shifts from a feasible point, so its b is >= 0 (``solve_lp``).
+scale, a few hundred rows at most, so the tableau is kept dense, as one
+array: the rows [A | I | b] over the reduced-cost row [c | 0 | 0]. A pivot
+is one rank-1 update of that array and a handful of other NumPy calls; at
+these sizes the count of calls, not the arithmetic, sets its cost. The
+update sets the entering column to an exact unit vector (the pivot row is
+divided by its own pivot, and every other row loses exactly its own
+entry), so the reduced cost of every basic column stays exactly 0 and no
+drift builds up where the entering variable is chosen. When c has one
+nonzero entry of -1, as every lexicographic stage LP does, the carried row
+is bitwise the one a recomputation from scratch would give. The tableau's
+slack block is the inverse of the basis matrix, so the optimal row duals
+are minus the slack reduced costs. The lexicographic completion writes
+each stage LP in shifts from a feasible point, so its b is >= 0
+(``solve_lp``).
 """
 
 from __future__ import annotations
@@ -61,40 +69,36 @@ def solve_simplex(c, A, b) -> SimplexResult:
         i = int(np.argmax(b < 0))
         raise InfeasibleProblemError(f"right-hand side b[{i}] = {b[i]:.3e} is negative")
 
-    # Equality form [A | I][x; s] = b with the slacks as the starting basis.
-    T = np.hstack([A, np.eye(m)])
-    rhs = b.copy()
+    # Rows 0..m-1 hold [A | I | b], the equality form with the slacks as the
+    # starting basis; row m holds the reduced costs [c | 0 | 0].
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = A
+    tab[np.arange(m), n + np.arange(m)] = 1.0
+    tab[:m, -1] = b
+    tab[m, :n] = c
+    body, rhs, reduced = tab[:m, :-1], tab[:m, -1], tab[m, :-1]
     basis = np.arange(n, n + m)
-    cost = np.concatenate([c, np.zeros(m)])
     for it in range(MAX_PIVOTS + 1):
-        reduced = cost - cost[basis] @ T
-        reduced[basis] = 0.0
-        candidates = np.flatnonzero(reduced < -PIVOT_TOL)
-        if candidates.size == 0:
+        eligible = (reduced < -PIVOT_TOL).nonzero()[0]
+        if not eligible.size:
             break
+        enter = int(eligible[0])  # Bland: smallest eligible index
         if it == MAX_PIVOTS:
             raise ConvergenceFailureError(f"simplex exceeded {MAX_PIVOTS} pivots")
-        enter = int(candidates[0])  # Bland: smallest eligible index
-        col = T[:, enter]
-        positive = col > PIVOT_TOL
-        if not positive.any():
+        col = body[:, enter]
+        ratios = np.divide(rhs, col, out=np.full(m, np.inf), where=col > PIVOT_TOL)
+        best = ratios.min(initial=np.inf)
+        if best == np.inf:
             raise UnboundedProblemError("objective unbounded below")
-        ratios = np.full(m, np.inf)
-        ratios[positive] = rhs[positive] / col[positive]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + RATIO_TIE_TOL * (1.0 + abs(best)))
-        row = int(ties[np.argmin(basis[ties])])
-        piv = T[row, enter]
-        T[row] /= piv
-        rhs[row] /= piv
-        factor = T[:, enter].copy()
-        factor[row] = 0.0
-        T -= np.outer(factor, T[row])
-        rhs -= factor * rhs[row]
+        ties = (ratios <= best + RATIO_TIE_TOL * (1.0 + abs(best))).nonzero()[0]
+        row = int(ties[basis[ties].argmin()])
+        pivot_row = tab[row] / tab[row, enter]
+        tab -= tab[:, enter, None] * pivot_row  # the pivot row itself is overwritten next
+        tab[row] = pivot_row
         basis[row] = enter
 
     x_full = np.zeros(n + m)
     x_full[basis] = rhs
     x = x_full[:n]
-    duals = -reduced[n:]  # the slack block of T is B^-1, so reduced[n:] = -cost_B B^-1
+    duals = -reduced[n:]  # the slack block of the tableau is B^-1, so reduced[n:] = -c_B B^-1
     return SimplexResult(x=x, objective=float(c @ x), duals=duals, iterations=it)

@@ -68,6 +68,19 @@ def _warm_start_inputs():
     return cases + [pytest.param(random_cdag(10, 0.3, 123), 5.0, id="cdag10-5.0")]
 
 
+def _stage_inputs():
+    """The warm-start DAG matrices and a few random incomplete matrices."""
+    cases = [
+        pytest.param(dag_to_incomplete_matrix(*p.values), id=p.id) for p in _warm_start_inputs()
+    ]
+    rng = np.random.default_rng(2029)
+    for k in range(4):
+        n = int(rng.integers(5, 8))
+        a = random_incomplete(n, int(rng.integers(2, n)), rng)
+        cases.append(pytest.param(a, id=f"random{k}-n{n}"))
+    return cases
+
+
 class TestBuildLexLp:
     def test_example2_structure(self, example2):
         state = build_lex_lp(example2)
@@ -177,6 +190,47 @@ class TestSolveLp:
         completion.lex_optimal_completion(dag_to_incomplete_matrix(dag, alpha))
         assert len(freezes) > 1 and max(later) > 0
 
+    @pytest.mark.parametrize("a", _stage_inputs())
+    def test_pinned_triads_freeze_in_their_stage(self, monkeypatch, a):
+        # after a stage's freezes no active triad is both fixed on the free
+        # subspace and at that stage's level: it would only repeat the level
+        stage_lp = completion.solve_lp
+        stages = []
+
+        def assert_none_pinned(state, objective):
+            zero = completion.OBJ_RTOL * state.scale
+            s = np.abs(state.cycle_sums(state.t))
+            assert not np.any(state.active & state.fixed & (np.abs(s - objective) <= zero))
+
+        def checking_lp(state):
+            if stages:
+                assert_none_pinned(*stages[-1])
+            sol = stage_lp(state)
+            stages.append((state, sol.objective))
+            return sol
+
+        monkeypatch.setattr(completion, "solve_lp", checking_lp)
+        _, audit = completion.lex_optimal_completion(a)
+        state, objective = stages[-1]
+        if objective > completion.OBJ_RTOL * state.scale:
+            assert_none_pinned(state, objective)
+        assert audit and len(stages) > 1
+
+    @pytest.mark.parametrize("a", _stage_inputs())
+    def test_no_lp_on_an_empty_basis(self, monkeypatch, a):
+        # with no free direction left every cycle sum is fixed and the rest
+        # of the audit is a sort: every LP has d+, d- and w columns
+        simplex = completion.solve_simplex
+        columns = []
+
+        def recording_simplex(c, A, b):
+            columns.append(np.shape(A)[1])
+            return simplex(c, A, b)
+
+        monkeypatch.setattr(completion, "solve_simplex", recording_simplex)
+        completion.lex_optimal_completion(a)
+        assert columns and min(columns) >= 3
+
     def test_pivot_count_pinned(self, monkeypatch):
         # deterministic under Bland's rule; started from t = 0 at every stage
         # the same completion takes about 40,000 pivots
@@ -186,18 +240,27 @@ class TestSolveLp:
 
     def test_lp_count_pinned(self, monkeypatch):
         # each stage freezes every triad tight at every optimum at once, and
-        # every triad the frozen ones pin; 30 LPs now, 77 with frozen triads
-        # kept as inequality rows, 108 with one freeze per stage LP
+        # every triad the frozen ones pin, and no LP runs once the basis is
+        # empty; 19 LPs now, 30 when pinned triads waited one more LP and an
+        # empty basis still took LPs, 77 with frozen triads kept as
+        # inequality rows, 108 with one freeze per stage LP
         a = dag_to_incomplete_matrix(random_cdag(10, 0.3, 123), 5.0)
         _, stages = _traced_lex(monkeypatch, a)
-        assert len(stages) <= 40
+        assert len(stages) <= 24
 
     def test_lp_count_pinned_n12(self, monkeypatch):
-        # 55 LPs now, 139 with frozen triads kept as inequality rows
+        # 39 LPs now, 55 when pinned triads waited one more LP, 139 with
+        # frozen triads kept as inequality rows
         a = dag_to_incomplete_matrix(random_cdag(12, 0.3, 123), 5.0)
         _, stages = _traced_lex(monkeypatch, a)
-        assert len(stages) <= 70
+        assert len(stages) <= 45
         _assert_matches_highs(a)
+
+    @pytest.mark.parametrize("alpha", (1.1, 5.0, 9.0))
+    def test_lp_count_pinned_witness(self, monkeypatch, fig2_dag, alpha):
+        # 9 LPs now, 15 when pinned triads waited one more LP
+        _, stages = _traced_lex(monkeypatch, dag_to_incomplete_matrix(fig2_dag, alpha))
+        assert len(stages) <= 10
 
     def test_no_tight_triad_raises(self, monkeypatch, example2):
         # all-zero duals at a positive objective that no constant triad

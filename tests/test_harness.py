@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pcmlex.harness as harness
 from pcmlex import (
     alpha_grid,
     dag_to_incomplete_matrix,
@@ -40,6 +41,34 @@ class TestPipeline:
         a = dag_to_incomplete_matrix(fig2_dag, 2.0)
         with pytest.raises(ValueError):
             run_pipeline(a, "nope", "em")
+
+    @pytest.mark.parametrize(
+        "completion,weighting,message",
+        [
+            ("lex", "bogus", "unknown weighting method 'bogus'"),
+            ("cr", "bogus", "unknown weighting method 'bogus'"),
+            ("nope", "em", "unknown completion method 'nope'"),
+        ],
+    )
+    def test_method_names_checked_before_completion(
+        self, monkeypatch, fig2_dag, completion, weighting, message
+    ):
+        calls = []
+
+        def never(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("completion ran before the method names were checked")
+
+        for name in ("lex_optimal_completion", "gci_optimal_completion", "cr_optimal_completion"):
+            monkeypatch.setattr(harness, name, never)
+        a = dag_to_incomplete_matrix(fig2_dag, 2.0)
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(a, completion, weighting)
+        with pytest.raises(ValueError, match=message):
+            sweep_alpha(fig2_dag, completion, weighting, alphas=(2.0, 3.0))
+        with pytest.raises(ValueError, match=message):
+            sweep_alpha(fig2_dag, completion, weighting, alphas=())
+        assert calls == []
 
 
 class TestVerifyTheorem1:
