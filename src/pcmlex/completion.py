@@ -23,7 +23,7 @@ from .core import (
     CompleteMatrix,
     IncompleteMatrix,
     TriadIndex,
-    _power_iteration,
+    _perron,
     all_triads,
     saaty_lambda_max,
 )
@@ -342,20 +342,20 @@ _ARMIJO = 1e-4
 _LOG_LAMBDA_NOISE = 1e-14  # rounding of log lambda_max; Armijo slack near the optimum
 
 
-def _cr_point(base: np.ndarray, rows, cols, t: np.ndarray, v, u):
-    """(log lambda, gradient, lambda, matrix, v, u) at missing logs t.
+def _cr_point(base: np.ndarray, rows, cols, t: np.ndarray):
+    """(log lambda, gradient, lambda, matrix) at missing logs t.
 
-    lambda comes from the left and right Perron vectors u, v, whose errors
-    enter it only as their product; the gradient along t_e = log a_ij is
-    (u_i a_ij v_j - u_j a_ji v_i) / (lambda u.v).
+    lambda comes from the right Perron vector v and the left one u (the
+    transpose's), whose errors enter it only as their product; the gradient
+    along t_e = log a_ij is (u_i a_ij v_j - u_j a_ji v_i) / (lambda u.v).
     """
     m = _fill_missing(base, rows, cols, t)
-    v = _power_iteration(m, v)[0]
-    u = _power_iteration(m.T, u)[0]
+    v = _perron(m)[0]
+    u = _perron(m.T)[0]
     uv = u @ v
     lam = float(u @ m @ v) / uv
     grad = u[rows] * m[rows, cols] * v[cols] - u[cols] * m[cols, rows] * v[rows]
-    return math.log(lam), grad / (lam * uv), lam, m, v, u
+    return math.log(lam), grad / (lam * uv), lam, m
 
 
 def cr_optimal_completion(
@@ -367,24 +367,33 @@ def cr_optimal_completion(
     2010), so this is one smooth convex minimization of log lambda_max over
     the missing log entries, solved by BFGS with a backtracking (Armijo)
     line search. Missing entries start from the GCI-optimal completion, a
-    warm start the result must not depend on; ``initial_logs`` overrides it
+    starting point the result must not depend on; ``initial_logs`` overrides it
     for exactly that regression. The solve ends once every partial
     derivative of log lambda_max is at most ``CR_GRAD_TOL`` in magnitude.
 
     Raises:
+        ValueError: ``initial_logs`` is not one finite value per missing pair.
         ConvergenceFailureError: ``CR_MAX_ITER`` steps taken first.
     """
     if not a.comparison_graph_connected():
         raise DisconnectedComparisonGraphError(
             "CR completion needs a connected comparison graph"
         )
+    if initial_logs is not None:
+        initial_logs = np.asarray(initial_logs, dtype=float)
+        shape = (len(a.missing_pairs),)
+        if initial_logs.shape != shape or not np.isfinite(initial_logs).all():
+            raise ValueError(
+                f"initial_logs must be finite with shape {shape}, one log entry "
+                f"per missing pair; got shape {initial_logs.shape}"
+            )
     if a.is_complete:
         complete = a.to_complete()
         return complete, saaty_lambda_max(complete)
     base = gci_optimal_completion(a).entries
     rows, cols = np.array(a.missing_pairs).T
-    t = np.log(base[rows, cols]) if initial_logs is None else np.asarray(initial_logs, float)
-    f, g, lam, m, v, u = _cr_point(base, rows, cols, t, None, None)
+    t = np.log(base[rows, cols]) if initial_logs is None else initial_logs
+    f, g, lam, m = _cr_point(base, rows, cols, t)
     h = np.eye(len(t))  # inverse Hessian estimate
     for _ in range(CR_MAX_ITER):
         if np.max(np.abs(g)) <= CR_GRAD_TOL:
@@ -392,13 +401,13 @@ def cr_optimal_completion(
         d = -h @ g
         step = 1.0
         while True:
-            trial = _cr_point(base, rows, cols, t + step * d, v, u)
+            trial = _cr_point(base, rows, cols, t + step * d)
             if trial[0] <= f + _ARMIJO * step * (g @ d) + _LOG_LAMBDA_NOISE:
                 break
             step *= 0.5
         s, y = step * d, trial[1] - g
         t = t + s
-        f, g, lam, m, v, u = trial
+        f, g, lam, m = trial
         sy = s @ y
         if sy > 0.0:
             r = np.eye(len(t)) - np.outer(s, y) / sy

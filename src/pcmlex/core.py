@@ -26,8 +26,6 @@ from .errors import (
 
 RECIPROCITY_RTOL = 1e-9
 EQUALITY_WINDOW = 1e-9  # |a_ij - 1| below this counts as a stated tie
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 10_000
 
 
 class TriadIndex(NamedTuple):
@@ -307,44 +305,39 @@ def koczkodaj_ki(m: CompleteMatrix) -> float:
     return 1.0 - 1.0 / inconsistency_profile(m).max_ti
 
 
-def _power_iteration(
-    a: np.ndarray, v0: np.ndarray | None = None
-) -> tuple[np.ndarray, float, int, float]:
-    """Power iteration for the Perron pair of a positive matrix.
+def _perron(a: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Perron pair of a positive matrix from a dense eigendecomposition.
 
-    Starts from ``v0`` (a positive vector summing to 1, such as the Perron
-    vector of a nearby matrix) or else the uniform vector, normalizes
-    iterates to sum 1, and stops when successive iterates differ by at most
-    ``POWER_TOL`` in the infinity norm.
+    For a positive matrix the eigenvalue with the largest real part is the
+    simple Perron root, and the real part of its eigenvector has one sign
+    (Perron-Frobenius); the vector is normalized to sum 1.
 
     Returns:
-        (weights, lambda_max, iterations, residual) where residual is
+        (weights, lambda_max, residual) where residual is
         ||A w - lambda w||_inf / lambda.
 
     Raises:
-        ConvergenceFailureError: ``POWER_MAX_ITER`` iterations taken first.
+        ConvergenceFailureError: LAPACK does not converge, or the vector it
+            returns has a component <= 0.
     """
     n = a.shape[0]
-    v = np.full(n, 1.0 / n) if v0 is None else v0
-    for it in range(1, POWER_MAX_ITER + 1):
-        av = a @ v
-        s = av.sum()
-        nxt = av / s
-        delta = float(np.max(np.abs(nxt - v)))
-        v = nxt
-        if delta <= POWER_TOL:
-            lam = float((a @ v).sum())  # sum(Av) = lambda once sum(v) = 1
-            residual = float(np.max(np.abs(a @ v - lam * v)) / lam)
-            return v, lam, it, residual
-    raise ConvergenceFailureError(
-        f"power iteration did not converge in {POWER_MAX_ITER} iterations"
-    )
+    try:
+        vals, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailureError(f"no eigendecomposition of the order-{n} matrix") from exc
+    k = int(np.argmax(vals.real))
+    v = vecs[:, k].real
+    w = v / v.sum()
+    if not np.all(w > 0):
+        raise ConvergenceFailureError(f"Perron vector of the order-{n} matrix is not positive")
+    lam = float(vals[k].real)
+    residual = float(np.max(np.abs(a @ w - lam * w)) / lam)
+    return w, lam, residual
 
 
 def saaty_lambda_max(m: CompleteMatrix) -> float:
-    """Dominant eigenvalue of the matrix via power iteration (>= n)."""
-    _, lam, _, _ = _power_iteration(m.entries)
-    return lam
+    """Dominant (Perron) eigenvalue of the matrix, >= n."""
+    return _perron(m.entries)[1]
 
 
 @dataclass(frozen=True)

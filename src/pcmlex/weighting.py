@@ -10,7 +10,7 @@ from .core import (
     CompleteMatrix,
     IncompleteMatrix,
     WeightVector,
-    _power_iteration,
+    _perron,
 )
 from .errors import DisconnectedComparisonGraphError, SingularSystemError
 
@@ -21,22 +21,19 @@ class EigenResult:
 
     weights: WeightVector
     lambda_max: float
-    iterations: int
+    iterations: int  # eigendecompositions, 1
     residual: float  # ||A w - lambda w||_inf / lambda
 
 
 def eigenvector_weights(m: CompleteMatrix) -> EigenResult:
-    """Perron eigenvector normalized to sum 1, via power iteration.
-
-    Iteration starts from the uniform vector and stops once successive
-    normalized iterates differ by at most ``core.POWER_TOL`` in the
-    infinity norm.
+    """Perron eigenvector normalized to sum 1, from one dense eigendecomposition.
 
     Raises:
-        ConvergenceFailureError: if ``core.POWER_MAX_ITER`` is exhausted.
+        ConvergenceFailureError: LAPACK does not converge, or the Perron
+            vector it returns is not positive.
     """
-    w, lam, iters, residual = _power_iteration(m.entries)
-    return EigenResult(WeightVector.from_raw(w), lam, iters, residual)
+    w, lam, residual = _perron(m.entries)
+    return EigenResult(WeightVector.from_raw(w), lam, 1, residual)
 
 
 def llsm_weights(m: CompleteMatrix) -> WeightVector:

@@ -1,7 +1,7 @@
 """Independent reference computations used to pin expected test values.
 
-Everything here goes through routes the library does not use: dense
-eigensolvers or characteristic polynomials instead of power iteration,
+Everything here goes through routes the library does not use: power
+iteration or characteristic polynomials instead of a dense eigensolver,
 exhaustive grids or SciPy's HiGHS instead of the in-house simplex, and grids
 instead of the quasi-Newton CR solve.
 """
@@ -14,16 +14,22 @@ from scipy.optimize import linprog
 from pcmlex import IncompleteMatrix
 
 
-def dense_lambda_max(entries: np.ndarray) -> float:
-    """Perron root via the dense eigensolver."""
-    return float(np.linalg.eigvals(entries).real.max())
+def power_iteration_reference(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """(weights, lambda_max) of a positive matrix by power iteration.
 
-
-def dense_perron_vector(entries: np.ndarray) -> np.ndarray:
-    """Perron vector (sum 1) via the dense eigensolver."""
-    vals, vecs = np.linalg.eig(entries)
-    v = np.abs(vecs[:, np.argmax(vals.real)].real)
-    return v / v.sum()
+    Starts from the uniform vector, normalizes iterates to sum 1 and stops
+    once successive iterates differ by at most 1e-12 in the infinity norm;
+    lambda is then sum(A w), as sum(w) = 1.
+    """
+    v = np.full(a.shape[0], 1.0 / a.shape[0])
+    for _ in range(10_000):
+        av = a @ v
+        nxt = av / av.sum()
+        delta = float(np.max(np.abs(nxt - v)))
+        v = nxt
+        if delta <= 1e-12:
+            return v, float((a @ v).sum())
+    raise RuntimeError("power iteration did not settle in 10,000 iterations")
 
 
 def perron_root_batch(mats: np.ndarray) -> np.ndarray:

@@ -30,11 +30,11 @@ from pcmlex.errors import (
 from conftest import FIG2_ARCS_1BASED, random_incomplete, random_reciprocal, random_tree_matrix
 from oracles import (
     cr_lambda_grid_oracle,
-    dense_lambda_max,
-    dense_perron_vector,
     lex_highs_oracle,
     lex_less_equal,
     lex_ti_grid_oracle,
+    perron_root_batch,
+    power_iteration_reference,
 )
 
 LN2 = math.log(2.0)
@@ -527,11 +527,11 @@ class TestCrCompletion:
         for a in [*self._cr_instances(), *fig2]:
             m, lam = cr_optimal_completion(a)
             x = m.entries
-            v, u = dense_perron_vector(x), dense_perron_vector(x.T)
+            v, u = power_iteration_reference(x)[0], power_iteration_reference(x.T)[0]
             for i, j in a.missing_pairs:
                 grad = (u[i] * x[i, j] * v[j] - u[j] * x[j, i] * v[i]) / (u @ v)
                 assert abs(grad) <= 1e-6
-            assert lam <= dense_lambda_max(gci_optimal_completion(a).entries) + 1e-12
+            assert lam <= perron_root_batch(gci_optimal_completion(a).entries[None])[0] + 1e-12
 
     def test_relabel_invariant(self, fig2_dag):
         rng = np.random.default_rng(79)
@@ -593,3 +593,15 @@ class TestCrCompletion:
             a = random_incomplete(n, 2, rng)
             _, lam = cr_optimal_completion(a)
             assert lam >= n - 1e-9
+
+    @pytest.mark.parametrize(
+        "initial_logs",
+        [0.5, np.array([0.5, -0.5]), np.full(6, np.nan)],
+        ids=["scalar", "length2", "nan"],
+    )
+    def test_malformed_initial_logs_rejected(self, initial_logs):
+        # a 5-vertex path at alpha = 3 leaves 6 pairs missing
+        a = dag_to_incomplete_matrix(build_dag(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 3.0)
+        assert len(a.missing_pairs) == 6
+        with pytest.raises(ValueError, match="initial_logs"):
+            cr_optimal_completion(a, initial_logs=initial_logs)

@@ -32,7 +32,7 @@ from pcmlex.errors import (
 )
 
 from conftest import EXAMPLE2_RAW, random_incomplete, random_reciprocal
-from oracles import dense_lambda_max
+from oracles import perron_root_batch
 
 # The worked example completed at its optimum x13 = 4, x14 = 8.
 EXAMPLE2_COMPLETED = [
@@ -364,7 +364,7 @@ class TestLambdaMax:
         m = CompleteMatrix.from_array(EXAMPLE2_COMPLETED)
         lam = saaty_lambda_max(m)
         assert lam >= 4.0
-        assert lam == pytest.approx(dense_lambda_max(m.entries), abs=1e-9)
+        assert lam == pytest.approx(perron_root_batch(m.entries[None])[0], abs=1e-9)
 
     def test_lower_bound_and_equality_iff_consistent(self):
         rng = np.random.default_rng(19)

@@ -12,6 +12,7 @@ import pytest
 
 import pcmlex
 from pcmlex.simplex import SimplexResult, solve_simplex
+from pcmlex.weighting import EigenResult, eigenvector_weights
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -35,6 +36,13 @@ def test_simplex_surface_read_by_the_tracer():
     # the tracer counts result.iterations and len(args[1]), the rows of A
     assert list(inspect.signature(solve_simplex).parameters) == ["c", "A", "b"]
     assert "iterations" in SimplexResult.__dataclass_fields__
+
+
+def test_eigen_surface_read_by_the_tracer():
+    # the tracer sums result.iterations into weighting.em.iters: one per call
+    assert list(inspect.signature(eigenvector_weights).parameters) == ["m"]
+    assert "iterations" in EigenResult.__dataclass_fields__
+    assert eigenvector_weights(pcmlex.ratio_matrix([1.0, 2.0, 4.0])).iterations == 1
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))

@@ -3,6 +3,8 @@ import pytest
 
 from pcmlex import (
     CompleteMatrix,
+    cr_optimal_completion,
+    dag_to_incomplete_matrix,
     eigenvector_weights,
     incomplete_llsm_weights,
     lemma3_check,
@@ -12,10 +14,11 @@ from pcmlex import (
     transitive_closure_matrix,
     validate_reciprocal,
 )
-from pcmlex.errors import DisconnectedComparisonGraphError
+from pcmlex.core import _perron
+from pcmlex.errors import ConvergenceFailureError, DisconnectedComparisonGraphError
 
 from conftest import random_incomplete, random_reciprocal, random_tree_matrix
-from oracles import dense_lambda_max, dense_perron_vector
+from oracles import perron_root_batch, power_iteration_reference
 
 
 def log_residual_objective(entries: np.ndarray, known: np.ndarray, y: np.ndarray) -> float:
@@ -44,8 +47,8 @@ class TestEigenvector:
     def test_against_dense_eigensolver(self, example2):
         m, _ = lex_optimal_completion(example2)
         res = eigenvector_weights(m)
-        assert res.weights.w == pytest.approx(dense_perron_vector(m.entries), abs=1e-8)
-        assert res.lambda_max == pytest.approx(dense_lambda_max(m.entries), abs=1e-9)
+        assert res.weights.w == pytest.approx(power_iteration_reference(m.entries)[0], abs=1e-8)
+        assert res.lambda_max == pytest.approx(perron_root_batch(m.entries[None])[0], abs=1e-9)
         assert res.residual <= 1e-9
         assert res.lambda_max >= m.n
 
@@ -57,6 +60,57 @@ class TestEigenvector:
             assert eigenvector_weights(m).weights.w == pytest.approx(
                 llsm_weights(m).w, abs=1e-9
             )
+
+
+def _assert_matches_power_iteration(entries: np.ndarray) -> None:
+    w_ref, lam_ref = power_iteration_reference(entries)
+    w, lam, _ = _perron(entries)
+    assert np.max(np.abs(w - w_ref)) <= 1e-10
+    assert abs(lam - lam_ref) <= 1e-10 * lam_ref
+
+
+class TestPerronKernel:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_random_matches_power_iteration(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            _assert_matches_power_iteration(random_reciprocal(n, rng))
+
+    @pytest.mark.parametrize("alpha", [1.1, 5.0, 9.0])
+    def test_witness_completions_match_power_iteration(self, fig2_dag, alpha):
+        a = dag_to_incomplete_matrix(fig2_dag, alpha)
+        lex = lex_optimal_completion(a)[0].entries
+        cr = cr_optimal_completion(a)[0].entries
+        _assert_matches_power_iteration(lex)
+        _assert_matches_power_iteration(cr)
+        # CR's gradient reads the left Perron vector, the kernel on the transpose
+        _assert_matches_power_iteration(cr.T)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        calls = []
+
+        def fail(a):
+            calls.append(a)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        with pytest.raises(ConvergenceFailureError, match="order-4"):
+            eigenvector_weights(CompleteMatrix.from_array(np.ones((4, 4))))
+        assert len(calls) == 1
+
+    def test_mixed_sign_vector_raises(self, monkeypatch):
+        calls = []
+
+        def mixed(a):
+            calls.append(a)
+            vecs = np.eye(4)
+            vecs[:, 0] = [0.5, -0.2, 0.4, 0.3]
+            return np.array([4.0, 0.0, 0.0, 0.0]), vecs
+
+        monkeypatch.setattr(np.linalg, "eig", mixed)
+        with pytest.raises(ConvergenceFailureError, match="order-4"):
+            eigenvector_weights(CompleteMatrix.from_array(np.ones((4, 4))))
+        assert len(calls) == 1
 
 
 class TestLlsm:
