@@ -8,14 +8,12 @@ each choice shows up in the triad inconsistencies.
 import numpy as np
 
 from pcmlex import (
-    build_lex_lp,
     cr_optimal_completion,
     gci_optimal_completion,
     inconsistency_profile,
     koczkodaj_ki,
     lex_optimal_completion,
     saaty_lambda_max,
-    solve_lp,
     validate_reciprocal,
 )
 
@@ -31,18 +29,13 @@ raw = [
 a = validate_reciprocal(raw)
 print("missing pairs (0-based):", a.missing_pairs)
 
-# The lexicographic method works on log-transformed triad cycle sums. The
-# first linear program minimizes the worst triad inconsistency; the dual
-# values expose which triad is the bottleneck.
-state = build_lex_lp(a)
-sol = solve_lp(state)
-print(f"\nfirst LP: {state.constraint_count} constraints over "
-      f"{len(state.missing_pairs)} log variables")
-print(f"objective = {sol.objective:.6f} = log {np.exp(sol.objective):.4f}")
-duals = {tuple(t): round(float(d), 4) for t, d in zip(state.triads, sol.duals) if d}
-print("triad duals:", duals)
-
+# The lexicographic method works on log-transformed triad cycle sums. Its
+# first linear program minimizes the worst triad inconsistency; the triad
+# that program pins, stage 1 of the freeze audit, is the bottleneck.
 completed, audit = lex_optimal_completion(a)
+i, j, k = audit[0].triad
+print(f"\nbottleneck triad ({i + 1},{j + 1},{k + 1}): no completion brings its "
+      f"TI below {audit[0].ti:g}")
 print("\nfreeze audit (triads pinned at their minimal TI, largest first):")
 for record in audit:
     i, j, k = record.triad

@@ -10,13 +10,9 @@ verification machinery.
 
 from .completion import (
     FreezeRecord,
-    LexLpState,
-    LpSolution,
-    build_lex_lp,
     cr_optimal_completion,
     gci_optimal_completion,
     lex_optimal_completion,
-    solve_lp,
 )
 from .core import (
     CompleteMatrix,
@@ -70,8 +66,6 @@ __all__ = [
     "FreezeRecord",
     "IncompleteMatrix",
     "InconsistencyProfile",
-    "LexLpState",
-    "LpSolution",
     "OrdinalViolation",
     "PipelineReport",
     "PreferenceDag",
@@ -82,7 +76,6 @@ __all__ = [
     "all_triads",
     "alpha_grid",
     "build_dag",
-    "build_lex_lp",
     "check_ordinal_violation",
     "complete_matrix",
     "cr_optimal_completion",
@@ -102,7 +95,6 @@ __all__ = [
     "reachable",
     "run_pipeline",
     "saaty_lambda_max",
-    "solve_lp",
     "sweep_alpha",
     "transitive_closure_matrix",
     "triad_ti",

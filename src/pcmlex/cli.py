@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .completion import FreezeRecord, lex_optimal_completion
-from .core import IncompleteMatrix, check_ordinal_violation
+from .core import TIE_RTOL, IncompleteMatrix, check_ordinal_violation
 from .errors import (
     DisconnectedComparisonGraphError,
     DisconnectedError,
@@ -54,7 +54,7 @@ _OPTIONS = {
                     help="preference intensity for DAG-based matrices (> 1)"),
     "--seed": dict(type=int, default=0, help="random seed"),
     "--format": dict(choices=("text", "csv"), default="text", help="report format"),
-    "--tol": dict(type=float, default=1e-9,
+    "--tol": dict(type=float, default=TIE_RTOL,
                   help="relative tolerance within which the weights of a stated "
                        "tie (a_ij = 1) count as equal in the violation audit"),
 }

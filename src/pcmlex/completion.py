@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,6 @@ from .errors import (
     ConvergenceFailureError,
     DisconnectedComparisonGraphError,
     NoBindingDualFoundError,
-    NoMissingEntriesError,
 )
 from .simplex import solve_simplex
 from .weighting import incomplete_llsm_weights
@@ -87,11 +87,6 @@ class LexLpState:
         """(T,) bool, the triads whose cycle sum is constant on the free subspace."""
         return np.all(np.abs(self.projected) <= RANK_TOL, axis=1)
 
-    @property
-    def constraint_count(self) -> int:
-        """Constraint rows currently in the LP (two per active triad)."""
-        return 2 * int(self.active.sum())
-
     def freeze(self, pos: int | np.ndarray, bound: float) -> None:
         self.bound[pos] = bound
         _, sv, vt = np.linalg.svd(np.atleast_2d(self.coef[pos] @ self.basis))
@@ -123,48 +118,40 @@ class FreezeRecord:
     stage: int
 
 
-def build_lex_lp(
-    a: IncompleteMatrix, triad_order: tuple[TriadIndex, ...] | None = None
-) -> LexLpState:
+def build_lex_lp(a: IncompleteMatrix) -> LexLpState:
     """Assemble the first-stage LP for the lexicographic completion.
 
     Args:
-        a: incomplete matrix with a connected comparison graph and at least
-            one missing entry.
-        triad_order: optional triad enumeration (testing hook); defaults to
-            lexicographic order.
+        a: incomplete matrix with a connected comparison graph.
 
     Raises:
-        NoMissingEntriesError: nothing to complete.
         DisconnectedComparisonGraphError: completion would not be unique.
     """
-    if a.is_complete:
-        raise NoMissingEntriesError("matrix has no missing entries")
     if not a.comparison_graph_connected():
         raise DisconnectedComparisonGraphError(
             "lexicographic completion needs a connected comparison graph"
         )
-    missing = a.missing_pairs
-    var_of = {pair: e for e, pair in enumerate(missing)}
-    triads = tuple(triad_order) if triad_order is not None else tuple(all_triads(a.n))
-    T, m = len(triads), len(missing)
-    coef = np.zeros((T, m))
-    const = np.zeros(T)
-    for pos, (i, j, k) in enumerate(triads):
-        # cycle sum log a_ij + log a_jk + log a_ki, with log a_ki = -log a_ik
-        for p, q, s in ((i, j, 1.0), (j, k, 1.0), (i, k, -1.0)):
-            if a.known[p, q]:
-                const[pos] += s * math.log(a.entries[p, q])
-            else:
-                coef[pos, var_of[(p, q)]] += s
+    triads = tuple(all_triads(a.n))
+    rows, cols = np.nonzero(np.triu(~a.known, 1))  # missing_pairs order
+    var = np.full((a.n, a.n), -1)
+    var[rows, cols] = np.arange(len(rows))
+    flat = itertools.chain.from_iterable(triads)  # np.array on NamedTuples is slower
+    i, j, k = np.fromiter(flat, int, 3 * len(triads)).reshape(-1, 3).T
+    # cycle sum log a_ij + log a_jk + log a_ki, with log a_ki = -log a_ik
+    logs = np.log(np.where(a.known, a.entries, 1.0))
+    const = logs[i, j] + logs[j, k] - logs[i, k]
+    v = var[np.stack((i, j, i)), np.stack((j, k, k))]  # (3, T): pairs ij, jk, ik
+    side, pos = np.nonzero(v >= 0)
+    coef = np.zeros((len(triads), len(rows)))
+    coef[pos, v[side, pos]] = np.array([1.0, 1.0, -1.0])[side]
     return LexLpState(
-        missing_pairs=missing,
+        missing_pairs=a.missing_pairs,
         triads=triads,
         coef=coef,
         const=const,
-        bound=np.full(T, np.nan),
-        t=np.zeros(m),
-        basis=np.eye(m),
+        bound=np.full(len(triads), np.nan),
+        t=np.zeros(len(rows)),
+        basis=np.eye(len(rows)),
         projected=coef.copy(),
     )
 
@@ -246,9 +233,7 @@ def _freeze_by_level(state: LexLpState, abs_s: np.ndarray, zero: float) -> list[
     return rest.tolist()
 
 
-def lex_optimal_completion(
-    a: IncompleteMatrix, triad_order: tuple[TriadIndex, ...] | None = None
-) -> tuple[CompleteMatrix, list[FreezeRecord]]:
+def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[FreezeRecord]]:
     """Lexicographically optimal completion with its freeze audit.
 
     Runs the successive-LP scheme: solve, and while the objective exceeds
@@ -278,12 +263,15 @@ def lex_optimal_completion(
     out of the audit; stages are numbered 1..k in that order.
 
     A complete input is returned unchanged with an empty audit. The optimum
-    is unique on connected comparison graphs, so ``triad_order`` (exposed
-    for exactly that regression) must not change the result.
+    is unique on connected comparison graphs, so the order in which triads
+    are enumerated must not change the result.
+
+    Raises:
+        DisconnectedComparisonGraphError: completion would not be unique.
     """
     if a.is_complete:
         return a.to_complete(), []
-    state = build_lex_lp(a, triad_order=triad_order)
+    state = build_lex_lp(a)
     zero = OBJ_RTOL * state.scale
     sol = solve_lp(state)
     order: list[int] = []  # triad positions in freeze order

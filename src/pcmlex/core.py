@@ -26,6 +26,7 @@ from .errors import (
 
 RECIPROCITY_RTOL = 1e-9
 EQUALITY_WINDOW = 1e-9  # |a_ij - 1| below this counts as a stated tie
+TIE_RTOL = 1e-9  # default relative gap within which a stated tie's weights count as equal
 
 
 class TriadIndex(NamedTuple):
@@ -44,6 +45,12 @@ def all_triads(n: int) -> list[TriadIndex]:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _upper_pairs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The (i, j) with i < j where ``mask`` holds, in row-major order."""
+    i, j = np.nonzero(np.triu(mask, 1))
+    return tuple(zip(i.tolist(), j.tolist()))
 
 
 def _canonical_reciprocal(values: np.ndarray, known: np.ndarray) -> np.ndarray:
@@ -107,21 +114,12 @@ class IncompleteMatrix:
     @property
     def missing_pairs(self) -> tuple[tuple[int, int], ...]:
         """Missing (i, j) pairs with i < j, lexicographically sorted."""
-        n = self.n
-        return tuple(
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if not self.known[i, j]
-        )
+        return _upper_pairs(~self.known)
 
     @property
     def known_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Known off-diagonal (i, j) pairs with i < j."""
-        n = self.n
-        return tuple(
-            (i, j) for i in range(n) for j in range(i + 1, n) if self.known[i, j]
-        )
+        """Known off-diagonal (i, j) pairs with i < j, lexicographically sorted."""
+        return _upper_pairs(self.known)
 
     def comparison_graph_connected(self) -> bool:
         """True iff the undirected graph of known pairs is connected."""
@@ -355,7 +353,7 @@ class OrdinalViolation:
 def check_ordinal_violation(
     a: IncompleteMatrix,
     w: WeightVector | Sequence[float] | np.ndarray,
-    eq_tol: float = 1e-9,
+    eq_tol: float = TIE_RTOL,
 ) -> list[OrdinalViolation]:
     """Every known pair whose weight order contradicts the stated preference.
 

@@ -83,14 +83,6 @@ class ConvergenceFailureError(PcmError):
     """Iterative method hit its iteration cap before converging."""
 
 
-class SingularSystemError(PcmError):
-    """Linear system was singular; unreachable for connected inputs."""
-
-
-class NoMissingEntriesError(PcmError):
-    """LP construction requires at least one missing entry."""
-
-
 class InfeasibleProblemError(PcmError):
     """LP reported infeasible; signals an internal bug for this family."""
 

@@ -19,6 +19,7 @@ from .completion import (
     lex_optimal_completion,
 )
 from .core import (
+    TIE_RTOL,
     CompleteMatrix,
     IncompleteMatrix,
     OrdinalViolation,
@@ -85,7 +86,7 @@ def run_pipeline(
     a: IncompleteMatrix,
     completion: str,
     weighting: str,
-    eq_tol: float = 1e-9,
+    eq_tol: float = TIE_RTOL,
 ) -> PipelineReport:
     """Complete, weight, and audit one incomplete matrix.
 
@@ -268,7 +269,7 @@ def sweep_alpha(
     completion: str,
     weighting: str,
     alphas: tuple[float, ...] | None = None,
-    eq_tol: float = 1e-9,
+    eq_tol: float = TIE_RTOL,
 ) -> list[SweepRow]:
     """Run the pipeline on one DAG for every alpha of a grid.
 

@@ -12,7 +12,7 @@ from .core import (
     WeightVector,
     _perron,
 )
-from .errors import DisconnectedComparisonGraphError, SingularSystemError
+from .errors import DisconnectedComparisonGraphError
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ def incomplete_llsm_weights(a: IncompleteMatrix) -> WeightVector:
 
     Raises:
         DisconnectedComparisonGraphError: no unique solution exists.
-        SingularSystemError: reduced system singular (internal bug).
     """
     if not a.comparison_graph_connected():
         raise DisconnectedComparisonGraphError(
@@ -67,12 +66,8 @@ def incomplete_llsm_weights(a: IncompleteMatrix) -> WeightVector:
     logs = np.zeros((n, n))
     logs[off] = np.log(a.entries[off])
     b = logs.sum(axis=1)
-    try:
-        y_rest = np.linalg.solve(lap[1:, 1:], b[1:])
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "Laplacian system singular despite connected graph"
-        ) from exc
+    # a connected graph's Laplacian less one row and column is nonsingular
+    y_rest = np.linalg.solve(lap[1:, 1:], b[1:])
     y = np.concatenate(([0.0], y_rest))
     w = np.exp(y - y.max())
     return WeightVector.from_raw(w)

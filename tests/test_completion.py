@@ -8,7 +8,6 @@ from pcmlex import (
     TriadIndex,
     all_triads,
     build_dag,
-    build_lex_lp,
     cr_optimal_completion,
     dag_to_incomplete_matrix,
     gci_optimal_completion,
@@ -17,15 +16,11 @@ from pcmlex import (
     lex_optimal_completion,
     random_cdag,
     saaty_lambda_max,
-    solve_lp,
     transitive_closure_matrix,
     validate_reciprocal,
 )
-from pcmlex.errors import (
-    DisconnectedComparisonGraphError,
-    NoBindingDualFoundError,
-    NoMissingEntriesError,
-)
+from pcmlex.completion import build_lex_lp, solve_lp
+from pcmlex.errors import DisconnectedComparisonGraphError, NoBindingDualFoundError
 
 from conftest import FIG2_ARCS_1BASED, random_incomplete, random_reciprocal, random_tree_matrix
 from oracles import (
@@ -39,6 +34,13 @@ from oracles import (
 
 LN2 = math.log(2.0)
 LN8 = math.log(8.0)
+
+DISCONNECTED_4X4 = [
+    [1, 2, None, None],
+    [0.5, 1, None, None],
+    [None, None, 1, 3],
+    [None, None, 1 / 3, 1],
+]
 
 
 def _traced_lex(monkeypatch, a):
@@ -86,32 +88,39 @@ class TestBuildLexLp:
         state = build_lex_lp(example2)
         assert state.missing_pairs == ((0, 2), (0, 3))
         assert len(state.triads) == 4
-        # four triads, one absolute-value pair of rows each
-        assert state.constraint_count == 8
-
-    def test_complete_rejected(self):
-        a = validate_reciprocal([[1, 2], [0.5, 1]])
-        with pytest.raises(NoMissingEntriesError):
-            build_lex_lp(a)
+        # four active triads, one absolute-value pair of rows each
+        assert int(state.active.sum()) == 4
 
     def test_disconnected_rejected(self):
-        a = validate_reciprocal(
-            [[1, 2, None, None],
-             [0.5, 1, None, None],
-             [None, None, 1, 3],
-             [None, None, 1 / 3, 1]]
-        )
         with pytest.raises(DisconnectedComparisonGraphError):
-            build_lex_lp(a)
+            build_lex_lp(validate_reciprocal(DISCONNECTED_4X4))
 
     def test_single_missing_3x3(self):
         a = validate_reciprocal([[1, 2, None], [0.5, 1, 4], [None, 0.25, 1]])
         state = build_lex_lp(a)
-        assert state.constraint_count == 2
+        assert int(state.active.sum()) == 1
         sol = solve_lp(state)
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         # the single free variable zeroes the only cycle sum: x13 = 2 * 4
         assert math.exp(sol.t[state.missing_pairs.index((0, 2))]) == pytest.approx(8.0, rel=1e-8)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cycle_sums_match_filled_matrix(self, seed):
+        # the index-array assembly against cycle sums read off a filled matrix
+        rng = np.random.default_rng(700 + seed)
+        if seed == 0:
+            a = validate_reciprocal([[1, 2, None], [0.5, 1, 4], [None, 0.25, 1]])
+        else:
+            n = int(rng.integers(4, 9))
+            a = random_incomplete(n, int(rng.integers(1, (n - 1) * (n - 2) // 2 + 1)), rng)
+        state = build_lex_lp(a)
+        t = rng.normal(scale=2.0, size=len(state.missing_pairs))
+        rows, cols = np.array(state.missing_pairs).T
+        logs = np.log(completion._fill_missing(a.entries, rows, cols, t))
+        i, j, k = np.array(state.triads).T
+        expected = logs[i, j] + logs[j, k] - logs[i, k]
+        tol = 1e-12 * max(1.0, state.scale)
+        assert np.max(np.abs(state.cycle_sums(t) - expected)) <= tol
 
 
 class TestSolveLp:
@@ -345,14 +354,16 @@ class TestLexCompletion:
             assert all(x >= y - 1e-9 for x, y in zip(tis, tis[1:]))
             assert [f.stage for f in audit] == list(range(1, len(audit) + 1))
 
-    def test_unique_under_triad_permutation(self):
+    def test_unique_under_triad_permutation(self, monkeypatch):
         rng = np.random.default_rng(17)
         for trial in range(8):
             a = random_incomplete(5, 2, rng)
             base, audit = lex_optimal_completion(a)
             triads = all_triads(5)
             perm = [triads[int(k)] for k in rng.permutation(len(triads))]
-            permuted, audit_p = lex_optimal_completion(a, triad_order=tuple(perm))
+            with monkeypatch.context() as mp:
+                mp.setattr(completion, "all_triads", lambda n: perm)
+                permuted, audit_p = lex_optimal_completion(a)
             assert np.max(np.abs(permuted.entries - base.entries)) <= 1e-7
             # the canonical audit order does not depend on the triad order
             assert [(f.triad, f.stage) for f in audit_p] == [(f.triad, f.stage) for f in audit]
@@ -458,6 +469,14 @@ class TestLexCompletion:
         inv = np.argsort(perm)
         assert np.max(np.abs(np.log(relabelled.entries) - logs[np.ix_(inv, inv)])) <= 1e-9
         assert sorted(f.ti for f in audit_p) == pytest.approx(tis, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "complete", (lex_optimal_completion, gci_optimal_completion, cr_optimal_completion)
+)
+def test_disconnected_input_rejected(complete):
+    with pytest.raises(DisconnectedComparisonGraphError):
+        complete(validate_reciprocal(DISCONNECTED_4X4))
 
 
 class TestGciCompletion:

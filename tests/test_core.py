@@ -139,6 +139,20 @@ class TestValidation:
         assert example2[1, 3] == 8
         assert example2[0, 2] is None
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_pair_lists_match_loop_reference(self, n):
+        rng = np.random.default_rng(60 + n)
+        known = np.ones((n, n), dtype=bool)
+        for i, j in itertools.combinations(range(n), 2):
+            known[i, j] = known[j, i] = rng.random() < 0.5
+        raw = np.where(known, 1.0, np.nan)
+        a = validate_reciprocal(raw)
+        upper = list(itertools.combinations(range(n), 2))
+        assert a.missing_pairs == tuple(p for p in upper if not known[p])
+        assert a.known_pairs == tuple(p for p in upper if known[p])
+        for i, j in a.missing_pairs + a.known_pairs:
+            assert type(i) is int and type(j) is int
+
     def test_reciprocity_violation_reports_worst_pair(self):
         with pytest.raises(ReciprocityViolationError) as err:
             validate_reciprocal([[1, 2], [3, 1]])
