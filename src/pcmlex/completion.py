@@ -9,7 +9,9 @@
 * GCI-optimal: missing entries filled with ratios of the incomplete
   log-least-squares weights;
 * CR-optimal: missing entries minimize the dominant eigenvalue, found by
-  BFGS on the log of that eigenvalue, which is convex in the log entries.
+  damped Newton on the log of that eigenvalue, which is convex in the log
+  entries; each point takes one eigendecomposition and one inverse, which
+  give both Perron vectors and the exact Hessian.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     NoBindingDualFoundError,
 )
 from .simplex import solve_simplex
-from .weighting import incomplete_llsm_weights
+from .weighting import _incomplete_llsm
 
 OBJ_RTOL = 1e-9  # objective below this times max |const| counts as zero
 DUAL_TOL = 1e-9  # |triad dual| above this freezes it; absolute, as the active duals sum to -1
@@ -314,9 +316,14 @@ def gci_optimal_completion(a: IncompleteMatrix) -> CompleteMatrix:
         raise DisconnectedComparisonGraphError(
             "GCI completion needs a connected comparison graph"
         )
+    return _gci_fill(a)
+
+
+def _gci_fill(a: IncompleteMatrix) -> CompleteMatrix:
+    """``gci_optimal_completion`` for a caller that has checked connectivity."""
     if a.is_complete:
         return a.to_complete()
-    w = incomplete_llsm_weights(a).w
+    w = _incomplete_llsm(a).w
     rows, cols = np.array(a.missing_pairs).T
     values = a.entries.copy()
     values[rows, cols] = w[rows] / w[cols]
@@ -326,24 +333,63 @@ def gci_optimal_completion(a: IncompleteMatrix) -> CompleteMatrix:
 
 CR_GRAD_TOL = 1e-10  # stop once every |d log lambda_max / d log a_ij| is below
 CR_MAX_ITER = 200
+CR_MAX_STEP = 1.0  # largest change of one log entry in one step; keeps exp(t) finite
 _ARMIJO = 1e-4
 _LOG_LAMBDA_NOISE = 1e-14  # rounding of log lambda_max; Armijo slack near the optimum
 
 
-def _cr_point(base: np.ndarray, rows, cols, t: np.ndarray):
-    """(log lambda, gradient, lambda, matrix) at missing logs t.
+def _left_perron(m: np.ndarray, v: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left Perron vector u, scaled to u.v = 1, and N^-1 for N = lam I - m + v 1^T.
 
-    lambda comes from the right Perron vector v and the left one u (the
-    transpose's), whose errors enter it only as their product; the gradient
-    along t_e = log a_ij is (u_i a_ij v_j - u_j a_ji v_i) / (lambda u.v).
+    N v = v (v sums to 1) and u^T N = (u.v) 1^T, so u is N^-T 1. N stays
+    well-conditioned while lambda is simple. A row of the inverse of the
+    eigenvector matrix from ``np.linalg.eig`` is no such route: at a
+    consistent matrix the other n - 1 eigenvalues are all 0, and the
+    eigenvectors LAPACK returns for them can be numerically dependent.
+    """
+    n_inv = np.linalg.inv(lam * np.eye(len(v)) - m + v[:, None])
+    u = n_inv.sum(axis=0)
+    return u / (u @ v), n_inv
+
+
+def _cr_point(base: np.ndarray, rows, cols, t: np.ndarray):
+    """(log lambda, gradient, lambda, matrix, hessian) at missing logs t.
+
+    One eigendecomposition gives lambda and the right Perron vector v (sum
+    1). As lambda is simple, N = lambda I - A + v 1^T is nonsingular; one
+    inverse gives the left vector u (see ``_left_perron``) and Z = P N^-1 P
+    with P = I - v u^T, the group inverse of lambda I - A (Meyer & Stewart
+    1988). Along t_e = log a_ij, A'_e = a_ij E_ij - a_ji E_ji and
+    A''_ee = a_ij E_ij + a_ji E_ji, so the gradient of log lambda is
+    u^T A'_e v / lambda and the Hessian of lambda is
+    delta_ef u^T A''_ee v + u^T A'_e Z A'_f v + u^T A'_f Z A'_e v.
+    ``hessian()`` assembles that of log lambda, H_lambda / lambda - g g^T,
+    on demand.
     """
     m = _fill_missing(base, rows, cols, t)
-    v = _perron(m)[0]
-    u = _perron(m.T)[0]
-    uv = u @ v
-    lam = float(u @ m @ v) / uv
-    grad = u[rows] * m[rows, cols] * v[cols] - u[cols] * m[cols, rows] * v[rows]
-    return math.log(lam), grad / (lam * uv), lam, m
+    v, lam, _ = _perron(m)
+    u, n_inv = _left_perron(m, v, lam)
+    n = len(v)
+    a_ij, a_ji = m[rows, cols], m[cols, rows]
+    fwd = a_ij * v[cols]  # (A'_e v)_i
+    bwd = a_ji * v[rows]  # -(A'_e v)_j
+    grad = (u[rows] * fwd - u[cols] * bwd) / lam
+
+    def hessian() -> np.ndarray:
+        e = np.arange(len(rows))
+        av = np.zeros((n, len(e)))  # column e: A'_e v
+        av[rows, e] = fwd
+        av[cols, e] = -bwd
+        ua = np.zeros((len(e), n))  # row e: u^T A'_e
+        ua[e, cols] = u[rows] * a_ij
+        ua[e, rows] = -u[cols] * a_ji
+        p = np.eye(n) - np.outer(v, u)
+        cross = ua @ p @ n_inv @ p @ av
+        h = cross + cross.T
+        h[e, e] += u[rows] * fwd + u[cols] * bwd
+        return h / lam - np.outer(grad, grad)
+
+    return math.log(lam), grad, lam, m, hessian
 
 
 def cr_optimal_completion(
@@ -353,8 +399,11 @@ def cr_optimal_completion(
 
     lambda_max is log-convex in the log entries (Bozoki, Fulop & Ronyai
     2010), so this is one smooth convex minimization of log lambda_max over
-    the missing log entries, solved by BFGS with a backtracking (Armijo)
-    line search. Missing entries start from the GCI-optimal completion, a
+    the missing log entries, solved by damped Newton with the exact Hessian
+    (see ``_cr_point``). Each step is -H^-1 g, or -g where that solve fails
+    or is not a descent direction, shortened so that no log entry moves by
+    more than ``CR_MAX_STEP``, then backtracked until it meets the Armijo
+    condition. Missing entries start from the GCI-optimal completion, a
     starting point the result must not depend on; ``initial_logs`` overrides it
     for exactly that regression. The solve ends once every partial
     derivative of log lambda_max is at most ``CR_GRAD_TOL`` in magnitude.
@@ -378,26 +427,26 @@ def cr_optimal_completion(
     if a.is_complete:
         complete = a.to_complete()
         return complete, saaty_lambda_max(complete)
-    base = gci_optimal_completion(a).entries
+    base = _gci_fill(a).entries
     rows, cols = np.array(a.missing_pairs).T
     t = np.log(base[rows, cols]) if initial_logs is None else initial_logs
-    f, g, lam, m = _cr_point(base, rows, cols, t)
-    h = np.eye(len(t))  # inverse Hessian estimate
+    f, g, lam, m, hessian = _cr_point(base, rows, cols, t)
     for _ in range(CR_MAX_ITER):
         if np.max(np.abs(g)) <= CR_GRAD_TOL:
             return CompleteMatrix._trusted(m), lam
-        d = -h @ g
+        try:
+            d = -np.linalg.solve(hessian(), g)
+        except np.linalg.LinAlgError:
+            d = -g
+        if not g @ d < 0.0:  # also a NaN from a near-singular Hessian
+            d = -g
+        d *= min(1.0, CR_MAX_STEP / np.max(np.abs(d)))
         step = 1.0
         while True:
             trial = _cr_point(base, rows, cols, t + step * d)
             if trial[0] <= f + _ARMIJO * step * (g @ d) + _LOG_LAMBDA_NOISE:
                 break
             step *= 0.5
-        s, y = step * d, trial[1] - g
-        t = t + s
-        f, g, lam, m = trial
-        sy = s @ y
-        if sy > 0.0:
-            r = np.eye(len(t)) - np.outer(s, y) / sy
-            h = r @ h @ r.T + np.outer(s, s) / sy
+        t = t + step * d
+        f, g, lam, m, hessian = trial
     raise ConvergenceFailureError(f"CR completion did not converge in {CR_MAX_ITER} steps")

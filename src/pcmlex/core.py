@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -111,12 +112,12 @@ class IncompleteMatrix:
     def is_complete(self) -> bool:
         return bool(self.known.all())
 
-    @property
+    @cached_property  # ``known`` is read-only, so computed once per matrix
     def missing_pairs(self) -> tuple[tuple[int, int], ...]:
         """Missing (i, j) pairs with i < j, lexicographically sorted."""
         return _upper_pairs(~self.known)
 
-    @property
+    @cached_property
     def known_pairs(self) -> tuple[tuple[int, int], ...]:
         """Known off-diagonal (i, j) pairs with i < j, lexicographically sorted."""
         return _upper_pairs(self.known)

@@ -60,6 +60,11 @@ def incomplete_llsm_weights(a: IncompleteMatrix) -> WeightVector:
         raise DisconnectedComparisonGraphError(
             "incomplete LLSM needs a connected comparison graph"
         )
+    return _incomplete_llsm(a)
+
+
+def _incomplete_llsm(a: IncompleteMatrix) -> WeightVector:
+    """``incomplete_llsm_weights`` for a caller that has checked connectivity."""
     n = a.n
     off = a.known & ~np.eye(n, dtype=bool)
     lap = np.diag(off.sum(axis=1).astype(float)) - off.astype(float)

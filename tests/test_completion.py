@@ -5,6 +5,7 @@ import pytest
 
 import pcmlex.completion as completion
 from pcmlex import (
+    IncompleteMatrix,
     TriadIndex,
     all_triads,
     build_dag,
@@ -13,13 +14,16 @@ from pcmlex import (
     gci_optimal_completion,
     inconsistency_profile,
     is_consistent,
+    incomplete_llsm_weights,
     lex_optimal_completion,
     random_cdag,
+    ratio_matrix,
     saaty_lambda_max,
     transitive_closure_matrix,
     validate_reciprocal,
 )
 from pcmlex.completion import build_lex_lp, solve_lp
+from pcmlex.core import _perron
 from pcmlex.errors import DisconnectedComparisonGraphError, NoBindingDualFoundError
 
 from conftest import FIG2_ARCS_1BASED, random_incomplete, random_reciprocal, random_tree_matrix
@@ -479,6 +483,37 @@ def test_disconnected_input_rejected(complete):
         complete(validate_reciprocal(DISCONNECTED_4X4))
 
 
+@pytest.mark.parametrize(
+    "complete, message",
+    [
+        (lex_optimal_completion, "lexicographic completion needs"),
+        (gci_optimal_completion, "GCI completion needs"),
+        (cr_optimal_completion, "CR completion needs"),
+        (incomplete_llsm_weights, "incomplete LLSM needs"),
+    ],
+    ids=["lex", "gci", "cr", "incomplete_llsm"],
+)
+def test_disconnected_input_names_the_entry(complete, message):
+    with pytest.raises(DisconnectedComparisonGraphError, match=message):
+        complete(validate_reciprocal(DISCONNECTED_4X4))
+
+
+@pytest.mark.parametrize(
+    "complete", (lex_optimal_completion, gci_optimal_completion, cr_optimal_completion)
+)
+def test_connectivity_checked_once(monkeypatch, fig2_dag, complete):
+    calls = []
+    check = IncompleteMatrix.comparison_graph_connected
+
+    def counting(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(IncompleteMatrix, "comparison_graph_connected", counting)
+    complete(dag_to_incomplete_matrix(fig2_dag, 3.0))
+    assert len(calls) == 1
+
+
 class TestGciCompletion:
     def test_tree_matches_lex(self):
         rng = np.random.default_rng(37)
@@ -551,6 +586,90 @@ class TestCrCompletion:
                 grad = (u[i] * x[i, j] * v[j] - u[j] * x[j, i] * v[i]) / (u @ v)
                 assert abs(grad) <= 1e-6
             assert lam <= perron_root_batch(gci_optimal_completion(a).entries[None])[0] + 1e-12
+
+    @staticmethod
+    def _counting_cr_point(monkeypatch):
+        """Record, per ``_cr_point`` call, how often its Hessian is assembled."""
+        hessians = []
+        point = completion._cr_point
+
+        def counting(*args):
+            *rest, hessian = point(*args)
+            hessians.append(0)
+            k = len(hessians) - 1
+
+            def counted():
+                hessians[k] += 1
+                return hessian()
+
+            return (*rest, counted)
+
+        monkeypatch.setattr(completion, "_cr_point", counting)
+        return hessians
+
+    @pytest.mark.parametrize("alpha", [30.0, 50.0, 100.0])
+    def test_converges_at_large_alpha(self, monkeypatch, alpha):
+        # BFGS ran out of its 200 steps here from alpha = 30
+        a = dag_to_incomplete_matrix(random_cdag(12, 0.3, 0), alpha)
+        points = self._counting_cr_point(monkeypatch)
+        m, lam = cr_optimal_completion(a)
+        x = m.entries
+        v, u = power_iteration_reference(x)[0], power_iteration_reference(x.T)[0]
+        for i, j in a.missing_pairs:
+            grad = (u[i] * x[i, j] * v[j] - u[j] * x[j, i] * v[i]) / (u @ v)
+            assert abs(grad) <= 1e-6
+        assert lam <= saaty_lambda_max(gci_optimal_completion(a)) + 1e-12
+        assert len(points) <= 10
+
+    def test_hessian_matches_central_differences(self, fig2_dag):
+        rng = np.random.default_rng(83)
+        fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (2.0, 9.0)]
+        h = 1e-5
+        for a in [*self._cr_instances(), *fig2]:
+            base = gci_optimal_completion(a).entries
+            rows, cols = np.array(a.missing_pairs).T
+            t = np.log(base[rows, cols]) + rng.normal(scale=0.5, size=len(rows))
+            hessian = completion._cr_point(base, rows, cols, t)[4]()
+            fd = np.empty_like(hessian)
+            for k in range(len(t)):
+                e = np.zeros(len(t))
+                e[k] = h
+                plus = completion._cr_point(base, rows, cols, t + e)[1]
+                minus = completion._cr_point(base, rows, cols, t - e)[1]
+                fd[:, k] = (plus - minus) / (2 * h)
+            assert np.max(np.abs(hessian - fd)) <= 1e-6 * np.max(np.abs(hessian))
+            # log lambda_max is convex in the log entries
+            assert np.linalg.eigvalsh(hessian).min() >= -1e-12 * np.max(np.abs(hessian))
+
+    def test_left_vector_at_a_consistent_matrix(self):
+        # np.linalg.eig gave this matrix an eigenvector matrix of condition
+        # number 1.7e16; the row of its inverse for the Perron root missed u
+        # by 5e-3
+        m = ratio_matrix([0.3, 1.7, 2.2, 5.0, 9.0, 1.1]).entries
+        v, lam, _ = _perron(m)
+        u, _ = completion._left_perron(m, v, lam)
+        assert u @ v == pytest.approx(1.0, rel=1e-12)
+        assert np.max(np.abs(u / u.sum() - power_iteration_reference(m.T)[0])) <= 1e-12
+
+    def test_cold_starts_reach_the_warm_lambda(self, fig2_dag):
+        rng = np.random.default_rng(89)
+        fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (2.0, 9.0)]
+        for a in [*self._cr_instances(), *fig2]:
+            _, lam = cr_optimal_completion(a)
+            for _ in range(3):
+                cold = 10.0 * rng.normal(size=len(a.missing_pairs))
+                _, lam_cold = cr_optimal_completion(a, initial_logs=cold)
+                assert lam_cold == pytest.approx(lam, rel=1e-9)
+
+    def test_warm_solves_take_few_newton_steps(self, monkeypatch, fig2_dag):
+        fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (1.5, 2.0, 5.0, 9.0)]
+        cdag = dag_to_incomplete_matrix(random_cdag(12, 0.3, 0), 9.0)
+        hessians = self._counting_cr_point(monkeypatch)
+        for a in [*self._cr_instances(), *fig2, cdag]:
+            start = len(hessians)
+            cr_optimal_completion(a)
+            assert sum(hessians[start:]) <= 8
+            assert hessians[-1] == 0  # the converged point needs none
 
     def test_relabel_invariant(self, fig2_dag):
         rng = np.random.default_rng(79)

@@ -153,6 +153,17 @@ class TestValidation:
         for i, j in a.missing_pairs + a.known_pairs:
             assert type(i) is int and type(j) is int
 
+    def test_pair_lists_computed_once(self):
+        rng = np.random.default_rng(66)
+        known = rng.random((7, 7)) < 0.5
+        known = known | known.T | np.eye(7, dtype=bool)
+        a = validate_reciprocal(np.where(known, 1.0, np.nan))
+        for pairs, mask in ((lambda: a.missing_pairs, ~known), (lambda: a.known_pairs, known)):
+            first = pairs()
+            assert pairs() is first
+            i, j = np.nonzero(np.triu(mask, 1))
+            assert first == tuple(zip(i.tolist(), j.tolist()))
+
     def test_reciprocity_violation_reports_worst_pair(self):
         with pytest.raises(ReciprocityViolationError) as err:
             validate_reciprocal([[1, 2], [3, 1]])
