@@ -1,11 +1,10 @@
 """Completion of incomplete comparison matrices by three optimality targets.
 
 * lexicographically optimal: sorted triad-inconsistency vector is
-  lexicographically minimal, found by successive min-max LPs over
-  log-space variables. Each stage freezes the triads its duals price,
-  then every triad those freezes pin at the stage level; later stages keep
-  every frozen cycle sum fixed. Once no free direction is left, the
-  remaining levels are read off by a sort, with no LP;
+  lexicographically minimal. The successive min-max LPs over log-space
+  variables are one parametric run on one tableau: the level falls by
+  dual-simplex pivots until a row certifies it, the triads that
+  certificate prices freeze, and the run goes on from the same basis;
 * GCI-optimal: missing entries filled with ratios of the incomplete
   log-least-squares weights;
 * CR-optimal: missing entries minimize the dominant eigenvalue, found by
@@ -35,66 +34,75 @@ from .errors import (
     DisconnectedComparisonGraphError,
     NoBindingDualFoundError,
 )
-from .simplex import solve_simplex
+from .simplex import MAX_PIVOTS, PIVOT_TOL, RATIO_TIE_TOL
 from .weighting import _incomplete_llsm
 
 OBJ_RTOL = 1e-9  # objective below this times max |const| counts as zero
 DUAL_TOL = 1e-9  # |triad dual| above this freezes it; absolute, as the active duals sum to -1
-RANK_TOL = 1e-9  # rank cut for integer cycle-sum rows on an orthonormal basis; not data-scaled
 
 
 @dataclass
 class LexLpState:
-    """Bookkeeping for the successive-LP solver, indexed by triad position.
+    """The parametric run of one lexicographic completion, indexed by triad position.
 
-    One cycle-sum per triad: s = log a_ij + log a_jk - log a_ik over the
+    One cycle sum per triad: s = log a_ij + log a_jk - log a_ik over the
     triad's three pairs, where known entries contribute to ``const`` and
-    missing ones a +/-1 coefficient on their log variable. Each active
-    triad contributes the constraint pair s <= z, -s <= z.
+    missing ones a +/-1 coefficient on their log variable. With t = d+ - d-
+    (d+, d- >= 0), a slack u >= 0 per row and the level z = z0 - w, where
+    z0 = ``scale``, triad l has a +s row and then a -s row:
 
-    A frozen triad is tight at every optimum of every later stage (each is
-    optimal for every earlier stage), and a |cycle sum| constant and > 0 on
-    a convex set means a constant cycle sum: an equality on t, not two rows.
-    ``basis`` holds orthonormal columns spanning the directions that leave
-    every frozen cycle sum unchanged; ``freeze`` removes the span of the
-    frozen rows from it, and later stages move t only within it.
-    ``projected`` = coef @ basis, each cycle sum's row on those directions;
-    a triad whose row is 0 there has a cycle sum no later stage can move.
+        +coef_l @ d + u = z0 - const_l - w,  -coef_l @ d + u = z0 + const_l - w
 
-    ``t`` is the point the next stage LP starts from: zeros from
-    ``build_lex_lp``, then each stage's optimum, written by ``solve_lp``.
+    A frozen triad is tight at every optimum of every later stage: its rows
+    drop the w term (right-hand sides bound_l -/+ const_l) and its slacks,
+    ``barred`` by label, may not enter the basis.
+
+    ``tab`` is the condensed (Tucker) tableau of the current basis: row i
+    reads x[basic[i]] = tab[i, -2] - w * tab[i, -1] - tab[i, :-2] @
+    x[nonbasic]. Labels are d+ 0..m-1, d- m..2m-1, then the slack of row r
+    at 2m + r. The run starts at t = 0, w = 0 with every slack basic,
+    feasible as z0 bounds every |const|. ``t`` and ``w`` are the point
+    reached; ``pivots`` and ``stages`` count pivots and certificates.
     """
 
     missing_pairs: tuple[tuple[int, int], ...]
     triads: tuple[TriadIndex, ...]
     coef: np.ndarray  # (T, m) coefficients of cycle sums on log variables
     const: np.ndarray  # (T,) known part of each cycle sum (natural log)
+    scale: float  # max |const|: z0, the level at t = 0, so an upper bound on every stage's
     bound: np.ndarray  # (T,) frozen bound on |cycle sum|, NaN while active
-    t: np.ndarray  # (m,) start point of the next stage LP
-    basis: np.ndarray  # (m, k) orthonormal directions that keep frozen cycle sums fixed
-    projected: np.ndarray  # (T, k) coef @ basis
+    t: np.ndarray  # (m,) log values reached by the run
+    tab: np.ndarray  # (2T, 2m + 2) condensed tableau: nonbasic columns, value, rate
+    basic: np.ndarray  # (2T,) label of each row's basic variable
+    nonbasic: np.ndarray  # (2m,) label of each nonbasic column
+    barred: np.ndarray  # (2m + 2T,) bool by label
+    w: float = 0.0
+    pivots: int = 0
+    stages: int = 0
 
     @property
     def active(self) -> np.ndarray:
         """(T,) bool, the not-yet-frozen triads."""
         return np.isnan(self.bound)
 
-    @property
-    def scale(self) -> float:
-        """max |const|: the objective at t = 0, so an upper bound on every stage's."""
-        return float(np.max(np.abs(self.const), initial=0.0))
-
-    @property
-    def fixed(self) -> np.ndarray:
-        """(T,) bool, the triads whose cycle sum is constant on the free subspace."""
-        return np.all(np.abs(self.projected) <= RANK_TOL, axis=1)
-
     def freeze(self, pos: int | np.ndarray, bound: float) -> None:
+        """Freeze the active triads at ``pos`` at ``bound``: their rows lose the w term.
+
+        Dropping row r's w term at level w_f = z0 - bound adds B^-1 e_r, the
+        tableau column of row r's slack, times (-w_f, -1) to the (value,
+        rate) columns: the stored column if that slack is nonbasic, a unit
+        vector if it is basic.
+        """
+        pos = np.atleast_1d(pos)
+        pos = pos[self.active[pos]]
         self.bound[pos] = bound
-        _, sv, vt = np.linalg.svd(np.atleast_2d(self.coef[pos] @ self.basis))
-        rank = int(np.sum(sv > RANK_TOL))
-        self.basis = self.basis @ vt[rank:].T
-        self.projected = self.coef @ self.basis
+        frozen = np.zeros_like(self.barred)
+        frozen[len(self.nonbasic) + 2 * pos] = True  # slack labels start at 2m
+        frozen[len(self.nonbasic) + 2 * pos + 1] = True
+        self.barred |= frozen
+        column = self.tab[:, :-2] @ frozen[self.nonbasic]
+        column[frozen[self.basic]] += 1.0
+        self.tab[:, -2:] -= np.outer(column, (self.scale - bound, 1.0))
 
     def cycle_sums(self, t: np.ndarray) -> np.ndarray:
         return self.const + self.coef @ t
@@ -102,7 +110,7 @@ class LexLpState:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Optimal point of one stage LP."""
+    """One stage of the run: its level, the point reached and the certificate's duals."""
 
     objective: float
     t: np.ndarray  # log values in missing_pairs order
@@ -121,7 +129,7 @@ class FreezeRecord:
 
 
 def build_lex_lp(a: IncompleteMatrix) -> LexLpState:
-    """Assemble the first-stage LP for the lexicographic completion.
+    """Assemble the starting tableau of the lexicographic completion.
 
     Args:
         a: incomplete matrix with a connected comparison graph.
@@ -144,69 +152,125 @@ def build_lex_lp(a: IncompleteMatrix) -> LexLpState:
     const = logs[i, j] + logs[j, k] - logs[i, k]
     v = var[np.stack((i, j, i)), np.stack((j, k, k))]  # (3, T): pairs ij, jk, ik
     side, pos = np.nonzero(v >= 0)
-    coef = np.zeros((len(triads), len(rows)))
+    m, n_rows = len(rows), 2 * len(triads)
+    coef = np.zeros((len(triads), m))
     coef[pos, v[side, pos]] = np.array([1.0, 1.0, -1.0])[side]
+    z0 = float(np.max(np.abs(const), initial=0.0))
+    tab = np.empty((n_rows, 2 * m + 2))
+    tab[0::2, :m] = coef  # +s row, then -s row, of each triad
+    tab[1::2, :m] = -coef
+    tab[:, m : 2 * m] = -tab[:, :m]
+    tab[0::2, -2] = z0 - const
+    tab[1::2, -2] = z0 + const
+    tab[:, -1] = 1.0
     return LexLpState(
         missing_pairs=a.missing_pairs,
         triads=triads,
         coef=coef,
         const=const,
+        scale=z0,
         bound=np.full(len(triads), np.nan),
-        t=np.zeros(len(rows)),
-        basis=np.eye(len(rows)),
-        projected=coef.copy(),
+        t=np.zeros(m),
+        tab=tab,
+        basic=np.arange(2 * m, 2 * m + n_rows),
+        nonbasic=np.arange(2 * m),
+        barred=np.zeros(2 * m + n_rows, bool),
     )
 
 
+def _pivot(state: LexLpState, row: int, enter: int) -> None:
+    """Exchange the basic variable of ``row`` with the nonbasic one of column ``enter``."""
+    tab = state.tab
+    col = tab[:, enter].copy()
+    tab[:, enter] = 0.0  # becomes the leaving variable's column, a unit vector before
+    tab[row, enter] = 1.0
+    pivot_row = tab[row] / col[row]
+    tab -= col[:, None] * pivot_row  # the pivot row itself is overwritten next
+    tab[row] = pivot_row
+    state.basic[row], state.nonbasic[enter] = state.nonbasic[enter], state.basic[row]
+    state.pivots += 1
+
+
 def solve_lp(state: LexLpState) -> LpSolution:
-    """Solve the current stage LP from ``state.t``; deterministic given the state.
+    """Advance the run to its next certificate: one stage of the lex scheme.
 
-    With s the cycle sums of the active triads at ``state.t``, z0 the
-    largest |s| and C = projected[active], the LP is written in the
-    shifts t = state.t + basis @ (d+ - d-) and z = z0 - w (d+, d-, w >= 0)
-    and minimises -w:
+    Raising w (lowering the level z = z0 - w) from ``state.w``, row i's
+    basic variable tab[i, -2] - w * tab[i, -1] reaches 0 at the ratio
+    tab[i, -2] / tab[i, -1] if its rate is positive; the smallest ratio
+    blocks. Rows of frozen slacks take no part: their rates and their
+    entries on every column that may enter are within ``DUAL_TOL`` of 0. A
+    blocking row with an entry below -``PIVOT_TOL`` on a column that may
+    enter leaves by a dual-simplex pivot (Bland's rule: the smallest label
+    of the tied rows leaves, the smallest eligible label enters), which
+    keeps the point and lets w rise further. A blocking row with no such
+    entry is a Farkas certificate that w can rise no further: it is a
+    combination y >= 0 of the rows that cancels d, whose slack entries (1
+    for its own basic slack) divided by its rate are an optimal dual of the
+    stage, with active part summing to 1. The stage's dual is the mean over
+    every tied certificate, so it prices what any of them does.
 
-        +C @ d + w <= z0 - s,  -C @ d + w <= z0 + s
+    Triad duals are minus the sum over the triad's two rows (<= 0), and 0
+    on frozen triads. ``feasibility_residual`` is the largest |cycle sum|
+    above the level on an active triad or off its bound on a frozen one;
+    ``duality_gap`` is |y @ rhs - w| over the original right-hand sides.
+    The point is written to ``state.t`` and ``state.w``. With every triad
+    frozen there is no level: the objective is 0 and the run does not move.
 
-    Every right-hand side is >= 0, so x = 0 is a basic feasible start for
-    the one-phase simplex. Frozen triads have no rows: moving within
-    ``basis`` leaves their cycle sums where the stage that froze them left
-    them.
-
-    Rows come in triad order, the +s row of each active triad before its
-    -s row; the substitution changes only the sign of the z column and the
-    right-hand sides, so the row duals are those of the LP in t and z.
-    Each triad's dual is the sum of the duals on its two rows, which equals
-    the dual the bounding constraint z_l <= z would carry in the unprojected
-    formulation; frozen triads get 0. The optimum is written back to
-    ``state.t``.
+    Raises:
+        ConvergenceFailureError: the run needs more than ``MAX_PIVOTS`` pivots.
     """
-    rows = np.flatnonzero(state.active)
-    C = state.projected[rows]
-    s = state.cycle_sums(state.t)[rows]
-    r, k = C.shape
-    z0 = float(np.max(np.abs(s), initial=0.0))
-    A = np.empty((2 * r, 2 * k + 1))  # +s row, then -s row, of each triad
-    A[0::2, :k] = C
-    A[1::2, :k] = -C
-    A[:, k : 2 * k] = -A[:, :k]
-    A[:, -1] = 1.0
-    b = np.empty(2 * r)
-    b[0::2] = z0 - s
-    b[1::2] = z0 + s
-    c = np.zeros(2 * k + 1)
-    c[-1] = -1.0 if len(rows) else 0.0  # with every triad frozen there is no z
-    res = solve_simplex(c, A, b)
+    active = state.active
+    if not active.any():
+        return LpSolution(0.0, state.t, np.zeros(len(active)), 0.0, 0.0)
+    z0, m = state.scale, len(state.t)
+    tie = RATIO_TIE_TOL * z0  # w stays within [0, z0]
+    barred = state.barred
+    tab, basic, nonbasic = state.tab, state.basic, state.nonbasic
+    # a pivot swaps an allowed label in for an allowed one: both masks stay
+    candidate, allowed = ~barred[basic], ~barred[nonbasic]
+    while True:
+        rate = tab[:, -1]
+        ratios = np.full(len(rate), np.inf)
+        np.divide(tab[:, -2], rate, out=ratios, where=candidate & (rate > PIVOT_TOL))
+        w = ratios.min()
+        if w == np.inf:  # nothing blocks: no certificate to read duals from
+            return LpSolution(z0 - state.w, state.t, np.zeros(len(active)), 0.0, 0.0)
+        tied = (ratios <= w + tie).nonzero()[0]
+        eligible = (tab[tied, :-2] < -PIVOT_TOL) & allowed
+        pivotable = eligible.any(axis=1)
+        if not pivotable.all():
+            break
+        if state.pivots >= MAX_PIVOTS:
+            raise ConvergenceFailureError(f"lexicographic run exceeded {MAX_PIVOTS} pivots")
+        leave = basic[tied].argmin()
+        enter = np.where(eligible[leave], nonbasic, len(barred)).argmin()
+        _pivot(state, int(tied[leave]), int(enter))
 
-    duals = np.zeros(len(state.triads))
-    duals[rows] = res.duals[0::2] + res.duals[1::2]
-    state.t = state.t + state.basis @ (res.x[:k] - res.x[k : 2 * k])
+    x = np.zeros(len(barred))  # by label
+    x[basic] = tab[:, -2] - w * tab[:, -1]
+    state.t = x[:m] - x[m : 2 * m]
+    state.w = float(w)
+    state.stages += 1
+
+    # each certificate's basic variable is an active slack: a row whose
+    # basic variable is d+ (d-) has -1 on the nonbasic d- (d+) column
+    certificates = tied[~pivotable]
+    share = 1.0 / (tab[certificates, -1] * len(certificates))
+    y = np.zeros(len(barred))  # by label; the d part is 0 up to rounding
+    y[nonbasic] = share @ tab[certificates, :-2]
+    y[basic[certificates]] += share
+    plus, minus = y[2 * m :: 2], y[2 * m + 1 :: 2]  # the slacks of each triad's two rows
+    pair, diff = plus + minus, plus - minus
+
+    objective = z0 - state.w
+    abs_s = np.abs(state.cycle_sums(state.t))
+    off = np.where(active, abs_s - objective, np.abs(abs_s - state.bound))
     return LpSolution(
-        objective=z0 + res.objective,
+        objective=objective,
         t=state.t,
-        duals=duals,
-        feasibility_residual=float(np.max(A @ res.x - b, initial=0.0)),
-        duality_gap=abs(res.objective - float(b @ res.duals)) if len(b) else 0.0,
+        duals=np.where(active, -pair, 0.0),
+        feasibility_residual=float(np.max(off, initial=0.0)),
+        duality_gap=abs(pair @ np.where(active, z0, state.bound) - diff @ state.const - state.w),
     )
 
 
@@ -218,51 +282,28 @@ def _fill_missing(base: np.ndarray, rows, cols, t) -> np.ndarray:
     return m
 
 
-def _freeze_by_level(state: LexLpState, abs_s: np.ndarray, zero: float) -> list[int]:
-    """Freeze the active triads with |s| > zero, largest |s| first; their positions.
-
-    With no free direction left every cycle sum s is fixed, so each
-    remaining stage LP would return the largest active |s| and freeze the
-    triads within ``zero`` of it: one level, bounded by its largest |s|.
-    """
-    rest = np.flatnonzero(state.active & (abs_s > zero))
-    rest = rest[np.argsort(-abs_s[rest], kind="stable")]
-    top = math.inf
-    for p in rest:
-        if top - abs_s[p] > zero:
-            top = abs_s[p]
-        state.bound[p] = top
-    return rest.tolist()
-
-
 def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[FreezeRecord]]:
     """Lexicographically optimal completion with its freeze audit.
 
-    Runs the successive-LP scheme: solve, and while the objective exceeds
-    ``OBJ_RTOL`` times max |const| (the scale of the data, so the result
-    does not depend on the unit of the log entries, such as the alpha of a
-    DAG matrix), freeze at the objective every active triad tight at every
-    optimum of the stage and re-solve, until the objective is (numerically)
-    zero or no active triad remains. Each stage freezes in two steps. First
-    the dual batch: a triad whose |dual| exceeds ``DUAL_TOL`` is tight at
-    every optimum by complementary slackness (the saturation step of
-    lexicographic min-max LP; Nace & Orlin 2007). Then the pinned triads:
-    on the subspace that batch leaves free, a triad whose cycle sum is fixed
-    (its row of ``projected`` within ``RANK_TOL`` of 0: no missing entry,
-    or pinned by this or earlier freezes) with |cycle sum| within the zero
-    tolerance of the objective is tight at every optimum too. Each stage
-    starts from the previous one's optimum and moves only within that
-    subspace (see ``solve_lp``). Once the subspace is empty every cycle sum
-    is fixed, and the remaining triads with |cycle sum| above the zero
-    tolerance freeze by a sort instead of LPs: largest first, in levels
-    bounded by their largest |cycle sum| (see ``_freeze_by_level``).
+    Runs the successive min-max LPs as one parametric run (see
+    ``solve_lp``): each stage lowers the level until a certificate, and
+    while the level exceeds ``OBJ_RTOL`` times max |const| (the scale of
+    the data, so the result does not depend on the unit of the log entries,
+    such as the alpha of a DAG matrix), every active triad whose dual in
+    that certificate exceeds ``DUAL_TOL`` freezes at the level: it is tight
+    at every optimum by complementary slackness (the saturation step of
+    lexicographic min-max LP; Nace & Orlin 2007). The run goes on from the
+    same basis until the level is (numerically) zero or no active triad
+    remains. A triad that the freezes pin at the level blocks the next
+    stage at once, with no pivot, and freezes there; so does each level
+    once every cycle sum is fixed.
 
     The audit lists frozen triads with TI = exp(bound), in freeze order,
     which is non-increasing, except that each run of consecutive freezes
     whose bounds lie within ``OBJ_RTOL`` times max |const| of the run's first
-    is sorted by triad. Which triad of a tie freezes first depends on the LP
-    vertex, so this canonical order keeps the pivot path and the LP backend
-    out of the audit; stages are numbered 1..k in that order.
+    is sorted by triad. Which triad of a tie freezes first depends on the
+    pivot path, so this canonical order keeps it out of the audit; stages
+    are numbered 1..k in that order.
 
     A complete input is returned unchanged with an empty audit. The optimum
     is unique on connected comparison graphs, so the order in which triads
@@ -270,6 +311,7 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
 
     Raises:
         DisconnectedComparisonGraphError: completion would not be unique.
+        ConvergenceFailureError: the run needs more than ``MAX_PIVOTS`` pivots.
     """
     if a.is_complete:
         return a.to_complete(), []
@@ -279,17 +321,10 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
     order: list[int] = []  # triad positions in freeze order
     while sol.objective > zero:
         batch = np.flatnonzero(state.active & (np.abs(sol.duals) > DUAL_TOL))
-        if not batch.size:  # the w column makes the active duals sum to -1
+        if not batch.size:  # the active duals of a certificate sum to -1
             raise NoBindingDualFoundError(f"objective {sol.objective:.3e} > 0, no triad tight")
         state.freeze(batch, sol.objective)
-        abs_s = np.abs(state.cycle_sums(sol.t))
-        at_level = np.abs(abs_s - sol.objective) <= zero
-        pinned = np.flatnonzero(state.active & state.fixed & at_level)
-        state.bound[pinned] = sol.objective  # rows already 0 on the basis: no SVD
-        order.extend(batch.tolist() + pinned.tolist())
-        if state.basis.shape[1] == 0:
-            order.extend(_freeze_by_level(state, abs_s, zero))
-            break
+        order.extend(batch.tolist())
         if not state.active.any():
             break
         sol = solve_lp(state)

@@ -13,12 +13,13 @@ update sets the entering column to an exact unit vector (the pivot row is
 divided by its own pivot, and every other row loses exactly its own
 entry), so the reduced cost of every basic column stays exactly 0 and no
 drift builds up where the entering variable is chosen. When c has one
-nonzero entry of -1, as every lexicographic stage LP does, the carried row
-is bitwise the one a recomputation from scratch would give. The tableau's
-slack block is the inverse of the basis matrix, so the optimal row duals
-are minus the slack reduced costs. The lexicographic completion writes
-each stage LP in shifts from a feasible point, so its b is >= 0
-(``solve_lp``).
+nonzero entry of -1, the carried row is bitwise the one a recomputation
+from scratch would give. The tableau's slack block is the inverse of the
+basis matrix, so the optimal row duals are minus the slack reduced costs.
+
+The lexicographic completion does not call this solver: it runs one
+parametric tableau per completion (``completion.solve_lp``), with the
+pivot tolerances and the pivot budget defined here.
 """
 
 from __future__ import annotations

@@ -24,7 +24,11 @@ from pcmlex import (
 )
 from pcmlex.completion import build_lex_lp, solve_lp
 from pcmlex.core import _perron
-from pcmlex.errors import DisconnectedComparisonGraphError, NoBindingDualFoundError
+from pcmlex.errors import (
+    ConvergenceFailureError,
+    DisconnectedComparisonGraphError,
+    NoBindingDualFoundError,
+)
 
 from conftest import FIG2_ARCS_1BASED, random_incomplete, random_reciprocal, random_tree_matrix
 from oracles import (
@@ -48,24 +52,29 @@ DISCONNECTED_4X4 = [
 
 
 def _traced_lex(monkeypatch, a):
-    """Lex completion of ``a`` with every simplex (b, pivots) and stage solution."""
-    simplex_calls, stages = [], []
-    simplex, stage_lp = completion.solve_simplex, completion.solve_lp
+    """Lex completion of ``a``: its run state and every stage's solution, in order."""
+    states, stages = [], []
+    build, stage_lp = completion.build_lex_lp, completion.solve_lp
 
-    def recording_simplex(c, A, b):
-        res = simplex(c, A, b)
-        simplex_calls.append((np.asarray(b, dtype=float).copy(), res.iterations))
-        return res
+    def recording_build(a):
+        states.append(build(a))
+        return states[-1]
 
     def recording_lp(state):
-        sol = stage_lp(state)
-        stages.append(sol)
-        return sol
+        stages.append(stage_lp(state))
+        return stages[-1]
 
-    monkeypatch.setattr(completion, "solve_simplex", recording_simplex)
+    monkeypatch.setattr(completion, "build_lex_lp", recording_build)
     monkeypatch.setattr(completion, "solve_lp", recording_lp)
     completion.lex_optimal_completion(a)
-    return simplex_calls, stages
+    return states[0], stages
+
+
+def _fixed(state):
+    """(T,) bool, the triads whose cycle sum the frozen triads' cycle sums determine."""
+    _, sv, vt = np.linalg.svd(state.coef[~state.active])  # full vt, also with no row
+    free = vt[int(np.sum(sv > 1e-9)) :].T  # directions that keep every frozen cycle sum
+    return np.all(np.abs(state.coef @ free) <= 1e-9, axis=1)
 
 
 def _warm_start_inputs():
@@ -164,31 +173,39 @@ class TestSolveLp:
 
     @pytest.mark.parametrize("dag,alpha", _warm_start_inputs())
     def test_every_stage_starts_feasible(self, monkeypatch, dag, alpha):
-        # every stage LP starts at the previous optimum: no right-hand side is
-        # negative, so x = 0 is a feasible start for the one-phase simplex
-        simplex_calls, stages = _traced_lex(monkeypatch, dag_to_incomplete_matrix(dag, alpha))
+        # every stage starts where the last one ended, at a primal-feasible
+        # basis; it ends at a certificate whose duals price only triads at the
+        # level, and whose residual and gap on the original rows are small
+        stage_lp = completion.solve_lp
+        stages = []
+
+        def checking_lp(state):
+            x = state.tab[:, -2] - state.w * state.tab[:, -1]
+            assert np.all(x >= -1e-9 * state.scale)
+            sol = stage_lp(state)
+            stages.append(sol)
+            priced = np.abs(sol.duals) > completion.DUAL_TOL
+            s = np.abs(state.cycle_sums(sol.t))
+            assert np.all(np.abs(s[priced] - sol.objective) <= 1e-9 * state.scale)
+            assert sol.duals.sum() == pytest.approx(-1.0, abs=1e-9)
+            return sol
+
+        monkeypatch.setattr(completion, "solve_lp", checking_lp)
+        completion.lex_optimal_completion(dag_to_incomplete_matrix(dag, alpha))
         assert len(stages) > 1
-        assert len(simplex_calls) == len(stages)
-        for b, _ in simplex_calls:
-            assert np.all(b >= 0.0)
         for sol in stages:
             assert sol.feasibility_residual <= 1e-9
             assert sol.duality_gap <= 1e-7
 
     @pytest.mark.parametrize("dag,alpha", _warm_start_inputs())
     def test_frozen_cycle_sums_stay_fixed(self, monkeypatch, dag, alpha):
-        # after every freeze the basis is orthonormal and moves no frozen
-        # cycle sum; every later stage's optimum keeps each frozen |s| at its bound
+        # every later stage's point keeps each frozen |s| at its bound
         freeze, stage_lp = completion.LexLpState.freeze, completion.solve_lp
         freezes, later = [], []
 
-        def checking_freeze(state, pos, bound):
+        def counting_freeze(state, pos, bound):
             freeze(state, pos, bound)
-            k = state.basis.shape[1]
-            assert np.max(np.abs(state.basis.T @ state.basis - np.eye(k)), initial=0.0) <= 1e-12
-            frozen = state.coef[~state.active] @ state.basis
-            assert np.all(np.abs(frozen) <= completion.RANK_TOL)
-            freezes.append(k)
+            freezes.append(bound)
 
         def checking_lp(state):
             sol = stage_lp(state)
@@ -198,82 +215,104 @@ class TestSolveLp:
             later.append(int(frozen.sum()))
             return sol
 
-        monkeypatch.setattr(completion.LexLpState, "freeze", checking_freeze)
+        monkeypatch.setattr(completion.LexLpState, "freeze", counting_freeze)
         monkeypatch.setattr(completion, "solve_lp", checking_lp)
         completion.lex_optimal_completion(dag_to_incomplete_matrix(dag, alpha))
         assert len(freezes) > 1 and max(later) > 0
 
     @pytest.mark.parametrize("a", _stage_inputs())
     def test_pinned_triads_freeze_in_their_stage(self, monkeypatch, a):
-        # after a stage's freezes no active triad is both fixed on the free
-        # subspace and at that stage's level: it would only repeat the level
+        # an active triad that the frozen ones pin at the last stage's level
+        # blocks the next stage at once: that stage keeps the level, takes no
+        # pivot and prices every such triad
         stage_lp = completion.solve_lp
-        stages = []
-
-        def assert_none_pinned(state, objective):
-            zero = completion.OBJ_RTOL * state.scale
-            s = np.abs(state.cycle_sums(state.t))
-            assert not np.any(state.active & state.fixed & (np.abs(s - objective) <= zero))
+        levels = []
 
         def checking_lp(state):
-            if stages:
-                assert_none_pinned(*stages[-1])
+            pinned = np.zeros(len(state.triads), bool)
+            if levels:
+                s = np.abs(state.cycle_sums(state.t))
+                at_level = np.abs(s - levels[-1]) <= completion.OBJ_RTOL * state.scale
+                pinned = state.active & _fixed(state) & at_level
+            pivots = state.pivots
             sol = stage_lp(state)
-            stages.append((state, sol.objective))
+            levels.append(sol.objective)
+            if pinned.any():
+                assert state.pivots == pivots
+                assert abs(sol.objective - levels[-2]) <= completion.OBJ_RTOL * state.scale
+                assert np.all(np.abs(sol.duals[pinned]) > completion.DUAL_TOL)
             return sol
 
         monkeypatch.setattr(completion, "solve_lp", checking_lp)
         _, audit = completion.lex_optimal_completion(a)
-        state, objective = stages[-1]
-        if objective > completion.OBJ_RTOL * state.scale:
-            assert_none_pinned(state, objective)
-        assert audit and len(stages) > 1
+        assert audit and len(levels) > 1
 
     @pytest.mark.parametrize("a", _stage_inputs())
     def test_no_lp_on_an_empty_basis(self, monkeypatch, a):
-        # with no free direction left every cycle sum is fixed and the rest
-        # of the audit is a sort: every LP has d+, d- and w columns
-        simplex = completion.solve_simplex
-        columns = []
+        # the kernel counts one stage per certificate and every pivot it
+        # takes; once the frozen cycle sums fix t (no free direction is
+        # left), each remaining level is one certificate with no pivot
+        stage_lp = completion.solve_lp
+        calls, idle = [], []
 
-        def recording_simplex(c, A, b):
-            columns.append(np.shape(A)[1])
-            return simplex(c, A, b)
+        def checking_lp(state):
+            all_fixed = bool(np.all(_fixed(state)))
+            pivots = state.pivots
+            sol = stage_lp(state)
+            calls.append(state.pivots - pivots)
+            if all_fixed:
+                idle.append(state.pivots - pivots)
+            return sol
 
-        monkeypatch.setattr(completion, "solve_simplex", recording_simplex)
-        completion.lex_optimal_completion(a)
-        assert columns and min(columns) >= 3
+        monkeypatch.setattr(completion, "solve_lp", checking_lp)
+        state, stages = _traced_lex(monkeypatch, a)
+        assert state.stages == len(calls) == len(stages)
+        assert state.pivots == sum(calls)
+        assert idle == [0] * len(idle)
 
     def test_pivot_count_pinned(self, monkeypatch):
-        # deterministic under Bland's rule; started from t = 0 at every stage
-        # the same completion takes about 40,000 pivots
+        # deterministic under Bland's rule: 48 pivots now, 302 over the 19
+        # stage LPs that each started a simplex from its slack basis, and
+        # about 40,000 with every stage LP started from t = 0
         a = dag_to_incomplete_matrix(random_cdag(10, 0.3, 123), 5.0)
-        simplex_calls, _ = _traced_lex(monkeypatch, a)
-        assert sum(pivots for _, pivots in simplex_calls) <= 4000
+        state, _ = _traced_lex(monkeypatch, a)
+        assert state.pivots <= 100
+
+    def test_pivot_budget_guard(self, monkeypatch):
+        # a run that needs more pivots than MAX_PIVOTS stops with an error
+        a = dag_to_incomplete_matrix(random_cdag(10, 0.3, 123), 5.0)
+        state, _ = _traced_lex(monkeypatch, a)
+        monkeypatch.setattr(completion, "MAX_PIVOTS", state.pivots)
+        completion.lex_optimal_completion(a)
+        monkeypatch.setattr(completion, "MAX_PIVOTS", state.pivots - 1)
+        with pytest.raises(ConvergenceFailureError, match="pivots"):
+            completion.lex_optimal_completion(a)
 
     def test_lp_count_pinned(self, monkeypatch):
-        # each stage freezes every triad tight at every optimum at once, and
-        # every triad the frozen ones pin, and no LP runs once the basis is
-        # empty; 19 LPs now, 30 when pinned triads waited one more LP and an
-        # empty basis still took LPs, 77 with frozen triads kept as
-        # inequality rows, 108 with one freeze per stage LP
+        # each stage ends at a certificate and tied certificates freeze
+        # together; 18 stages now, 19 LPs when each stage was its own LP, 30
+        # when pinned triads waited one more LP and an empty basis still took
+        # LPs, 77 with frozen triads kept as inequality rows, 108 with one
+        # freeze per stage LP
         a = dag_to_incomplete_matrix(random_cdag(10, 0.3, 123), 5.0)
-        _, stages = _traced_lex(monkeypatch, a)
-        assert len(stages) <= 24
+        state, stages = _traced_lex(monkeypatch, a)
+        assert state.stages == len(stages) <= 24
 
     def test_lp_count_pinned_n12(self, monkeypatch):
-        # 39 LPs now, 55 when pinned triads waited one more LP, 139 with
-        # frozen triads kept as inequality rows
+        # 29 stages now, 39 LPs when each stage was its own LP, 55 when
+        # pinned triads waited one more LP, 139 with frozen triads kept as
+        # inequality rows
         a = dag_to_incomplete_matrix(random_cdag(12, 0.3, 123), 5.0)
-        _, stages = _traced_lex(monkeypatch, a)
-        assert len(stages) <= 45
+        state, stages = _traced_lex(monkeypatch, a)
+        assert state.stages == len(stages) <= 45
         _assert_matches_highs(a)
 
     @pytest.mark.parametrize("alpha", (1.1, 5.0, 9.0))
     def test_lp_count_pinned_witness(self, monkeypatch, fig2_dag, alpha):
-        # 9 LPs now, 15 when pinned triads waited one more LP
-        _, stages = _traced_lex(monkeypatch, dag_to_incomplete_matrix(fig2_dag, alpha))
-        assert len(stages) <= 10
+        # 3 stages now, 9 LPs when each stage was its own LP, 15 when pinned
+        # triads waited one more LP
+        state, stages = _traced_lex(monkeypatch, dag_to_incomplete_matrix(fig2_dag, alpha))
+        assert state.stages == len(stages) <= 10
 
     def test_no_tight_triad_raises(self, monkeypatch, example2):
         # all-zero duals at a positive objective that no constant triad
@@ -473,6 +512,45 @@ class TestLexCompletion:
         inv = np.argsort(perm)
         assert np.max(np.abs(np.log(relabelled.entries) - logs[np.ix_(inv, inv)])) <= 1e-9
         assert sorted(f.ti for f in audit_p) == pytest.approx(tis, rel=1e-9)
+
+
+class TestLexAtScale:
+    """``random_cdag(n, 0.3, 123)`` at alpha = 5, past the sizes the corpus reaches."""
+
+    @staticmethod
+    def _matrix(n):
+        return dag_to_incomplete_matrix(random_cdag(n, 0.3, 123), 5.0)
+
+    def test_matches_highs_oracle_n13(self):
+        _assert_matches_highs(self._matrix(13))
+
+    def test_relabel_and_triad_order_invariant_n15(self, monkeypatch):
+        a = self._matrix(15)
+        base, audit = lex_optimal_completion(a)
+        logs = np.log(base.entries)
+        tis = sorted(f.ti for f in audit)
+        rng = np.random.default_rng(15)
+
+        perm = rng.permutation(a.n)
+        relabelled, audit_p = lex_optimal_completion(_permuted(a, perm))
+        inv = np.argsort(perm)
+        assert np.max(np.abs(np.log(relabelled.entries) - logs[np.ix_(inv, inv)])) <= 1e-9
+        assert sorted(f.ti for f in audit_p) == pytest.approx(tis, rel=1e-9)
+
+        triads = all_triads(a.n)
+        shuffled = [triads[int(k)] for k in rng.permutation(len(triads))]
+        monkeypatch.setattr(completion, "all_triads", lambda n: shuffled)
+        permuted, audit_t = lex_optimal_completion(a)
+        assert np.max(np.abs(np.log(permuted.entries) - logs)) <= 1e-9
+        assert [(f.triad, f.stage) for f in audit_t] == [(f.triad, f.stage) for f in audit]
+        assert [f.ti for f in audit_t] == pytest.approx([f.ti for f in audit], rel=1e-9)
+
+    def test_stage_and_pivot_count_pinned_n15(self, monkeypatch):
+        # 69 stages and 108 pivots now; 72 stage LPs and 2,158 pivots when
+        # each stage was its own LP
+        state, stages = _traced_lex(monkeypatch, self._matrix(15))
+        assert state.stages == len(stages) <= 80
+        assert state.pivots <= 200
 
 
 @pytest.mark.parametrize(
