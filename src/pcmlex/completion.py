@@ -15,7 +15,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ from .core import (
     IncompleteMatrix,
     TriadIndex,
     _perron,
-    all_triads,
+    _triad_table,
     saaty_lambda_max,
 )
 from .errors import (
@@ -141,12 +140,11 @@ def build_lex_lp(a: IncompleteMatrix) -> LexLpState:
         raise DisconnectedComparisonGraphError(
             "lexicographic completion needs a connected comparison graph"
         )
-    triads = tuple(all_triads(a.n))
+    triads, idx = _triad_table(a.n)
     rows, cols = np.nonzero(np.triu(~a.known, 1))  # missing_pairs order
     var = np.full((a.n, a.n), -1)
     var[rows, cols] = np.arange(len(rows))
-    flat = itertools.chain.from_iterable(triads)  # np.array on NamedTuples is slower
-    i, j, k = np.fromiter(flat, int, 3 * len(triads)).reshape(-1, 3).T
+    i, j, k = idx.T
     # cycle sum log a_ij + log a_jk + log a_ki, with log a_ki = -log a_ik
     logs = np.log(np.where(a.known, a.entries, 1.0))
     const = logs[i, j] + logs[j, k] - logs[i, k]
@@ -351,11 +349,6 @@ def gci_optimal_completion(a: IncompleteMatrix) -> CompleteMatrix:
         raise DisconnectedComparisonGraphError(
             "GCI completion needs a connected comparison graph"
         )
-    return _gci_fill(a)
-
-
-def _gci_fill(a: IncompleteMatrix) -> CompleteMatrix:
-    """``gci_optimal_completion`` for a caller that has checked connectivity."""
     if a.is_complete:
         return a.to_complete()
     w = _incomplete_llsm(a).w
@@ -388,21 +381,21 @@ def _left_perron(m: np.ndarray, v: np.ndarray, lam: float) -> tuple[np.ndarray, 
 
 
 def _cr_point(base: np.ndarray, rows, cols, t: np.ndarray):
-    """(log lambda, gradient, lambda, matrix, hessian) at missing logs t.
+    """(log lambda, gradient, Perron pair, matrix, hessian) at missing logs t.
 
-    One eigendecomposition gives lambda and the right Perron vector v (sum
-    1). As lambda is simple, N = lambda I - A + v 1^T is nonsingular; one
-    inverse gives the left vector u (see ``_left_perron``) and Z = P N^-1 P
-    with P = I - v u^T, the group inverse of lambda I - A (Meyer & Stewart
-    1988). Along t_e = log a_ij, A'_e = a_ij E_ij - a_ji E_ji and
-    A''_ee = a_ij E_ij + a_ji E_ji, so the gradient of log lambda is
-    u^T A'_e v / lambda and the Hessian of lambda is
+    One eigendecomposition gives the Perron pair: the right Perron vector v
+    (sum 1) and lambda. As lambda is simple, N = lambda I - A + v 1^T is
+    nonsingular; one inverse gives the left vector u (see ``_left_perron``)
+    and Z = P N^-1 P with P = I - v u^T, the group inverse of lambda I - A
+    (Meyer & Stewart 1988). Along t_e = log a_ij, A'_e = a_ij E_ij - a_ji
+    E_ji and A''_ee = a_ij E_ij + a_ji E_ji, so the gradient of log lambda
+    is u^T A'_e v / lambda and the Hessian of lambda is
     delta_ef u^T A''_ee v + u^T A'_e Z A'_f v + u^T A'_f Z A'_e v.
     ``hessian()`` assembles that of log lambda, H_lambda / lambda - g g^T,
     on demand.
     """
     m = _fill_missing(base, rows, cols, t)
-    v, lam, _ = _perron(m)
+    v, lam = perron = _perron(m)
     u, n_inv = _left_perron(m, v, lam)
     n = len(v)
     a_ij, a_ji = m[rows, cols], m[cols, rows]
@@ -424,7 +417,7 @@ def _cr_point(base: np.ndarray, rows, cols, t: np.ndarray):
         h[e, e] += u[rows] * fwd + u[cols] * bwd
         return h / lam - np.outer(grad, grad)
 
-    return math.log(lam), grad, lam, m, hessian
+    return math.log(lam), grad, perron, m, hessian
 
 
 def cr_optimal_completion(
@@ -442,6 +435,10 @@ def cr_optimal_completion(
     starting point the result must not depend on; ``initial_logs`` overrides it
     for exactly that regression. The solve ends once every partial
     derivative of log lambda_max is at most ``CR_GRAD_TOL`` in magnitude.
+
+    The returned matrix carries the Perron pair of the final point, so
+    ``eigenvector_weights`` and ``saaty_lambda_max`` on it make no further
+    eigendecomposition.
 
     Raises:
         ValueError: ``initial_logs`` is not one finite value per missing pair.
@@ -462,13 +459,16 @@ def cr_optimal_completion(
     if a.is_complete:
         complete = a.to_complete()
         return complete, saaty_lambda_max(complete)
-    base = _gci_fill(a).entries
     rows, cols = np.array(a.missing_pairs).T
-    t = np.log(base[rows, cols]) if initial_logs is None else initial_logs
-    f, g, lam, m, hessian = _cr_point(base, rows, cols, t)
+    if initial_logs is None:  # the GCI completion's missing logs
+        w = _incomplete_llsm(a).w
+        t = np.log(w[rows] / w[cols])
+    else:
+        t = initial_logs
+    f, g, perron, m, hessian = _cr_point(a.entries, rows, cols, t)
     for _ in range(CR_MAX_ITER):
         if np.max(np.abs(g)) <= CR_GRAD_TOL:
-            return CompleteMatrix._trusted(m), lam
+            return CompleteMatrix._trusted(m, perron=perron), perron[1]
         try:
             d = -np.linalg.solve(hessian(), g)
         except np.linalg.LinAlgError:
@@ -478,10 +478,10 @@ def cr_optimal_completion(
         d *= min(1.0, CR_MAX_STEP / np.max(np.abs(d)))
         step = 1.0
         while True:
-            trial = _cr_point(base, rows, cols, t + step * d)
+            trial = _cr_point(a.entries, rows, cols, t + step * d)
             if trial[0] <= f + _ARMIJO * step * (g @ d) + _LOG_LAMBDA_NOISE:
                 break
             step *= 0.5
         t = t + step * d
-        f, g, lam, m, hessian = trial
+        f, g, perron, m, hessian = trial
     raise ConvergenceFailureError(f"CR completion did not converge in {CR_MAX_ITER} steps")

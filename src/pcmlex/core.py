@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -40,12 +40,44 @@ class TriadIndex(NamedTuple):
 
 def all_triads(n: int) -> list[TriadIndex]:
     """All C(n, 3) triads of {0, ..., n-1} in lexicographic order."""
-    return [TriadIndex(*t) for t in itertools.combinations(range(n), 3)]
+    return list(_triad_table(n)[0])
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+@lru_cache(maxsize=16)
+def _triad_table(n: int) -> tuple[tuple[TriadIndex, ...], np.ndarray]:
+    """``all_triads(n)`` as a tuple and a read-only (T, 3) index array, built once per n."""
+    triads = tuple(TriadIndex(*t) for t in itertools.combinations(range(n), 3))
+    return triads, _freeze(np.array(triads, dtype=int).reshape(-1, 3))
+
+
+def _components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Weakly connected components, each sorted, ordered by smallest member."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    seen: set[int] = set()
+    comps = []
+    for s in range(n):
+        if s in seen:
+            continue
+        comp = []
+        stack = [s]
+        seen.add(s)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        comps.append(sorted(comp))
+    return comps
 
 
 def _upper_pairs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -68,7 +100,14 @@ def _canonical_reciprocal(values: np.ndarray, known: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompleteMatrix:
-    """Fully specified reciprocal positive matrix."""
+    """Fully specified reciprocal positive matrix.
+
+    ``entries`` is read-only, so the Perron pair is a property of the matrix:
+    ``eigenvector_weights`` and ``saaty_lambda_max`` share one
+    eigendecomposition per matrix, or none when the solver that built the
+    matrix attached the pair it had already computed (see ``_trusted``).
+    The pair is not a field: it takes no part in equality or ``repr``.
+    """
 
     n: int
     entries: np.ndarray
@@ -88,9 +127,23 @@ class CompleteMatrix:
         return inc.to_complete()
 
     @classmethod
-    def _trusted(cls, entries: np.ndarray) -> "CompleteMatrix":
-        """Wrap an already-canonical array without re-validating."""
-        return cls(entries.shape[0], _freeze(np.asarray(entries, dtype=float)))
+    def _trusted(
+        cls, entries: np.ndarray, perron: tuple[np.ndarray, float] | None = None
+    ) -> "CompleteMatrix":
+        """Wrap an already-canonical array without re-validating.
+
+        ``perron``, if given, must be what ``_perron`` returns for exactly
+        this array; it becomes the matrix's ``_perron_pair``.
+        """
+        m = cls(entries.shape[0], _freeze(np.asarray(entries, dtype=float)))
+        if perron is not None:
+            m.__dict__["_perron_pair"] = perron  # what cached_property would store
+        return m
+
+    @cached_property
+    def _perron_pair(self) -> tuple[np.ndarray, float]:
+        """(weights, lambda_max) from ``_perron``, computed at most once per matrix."""
+        return _perron(self.entries)
 
     def __getitem__(self, idx) -> float:
         return self.entries[idx]
@@ -124,13 +177,7 @@ class IncompleteMatrix:
 
     def comparison_graph_connected(self) -> bool:
         """True iff the undirected graph of known pairs is connected."""
-        seen = np.zeros(self.n, dtype=bool)
-        seen[0] = True
-        frontier = seen.copy()
-        while frontier.any():
-            frontier = self.known[frontier].any(axis=0) & ~seen
-            seen |= frontier
-        return bool(seen.all())
+        return len(_components(self.n, self.known_pairs)) == 1
 
     def to_complete(self) -> CompleteMatrix:
         if not self.is_complete:
@@ -286,10 +333,9 @@ def inconsistency_profile(m: CompleteMatrix) -> InconsistencyProfile:
     """
     if m.n < 3:
         raise MatrixTooSmallError("inconsistency profile needs n >= 3")
-    triads = all_triads(m.n)
-    idx = np.array(triads, dtype=int)
+    triads, idx = _triad_table(m.n)
     a = m.entries
-    i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
+    i, j, k = idx.T
     r = a[i, k] / (a[i, j] * a[j, k])
     ti = np.maximum(r, 1.0 / r)
     order = np.argsort(-ti, kind="stable")
@@ -304,16 +350,17 @@ def koczkodaj_ki(m: CompleteMatrix) -> float:
     return 1.0 - 1.0 / inconsistency_profile(m).max_ti
 
 
-def _perron(a: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Perron pair of a positive matrix from a dense eigendecomposition.
+def _perron(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Perron pair of a positive matrix from one dense eigendecomposition.
 
     For a positive matrix the eigenvalue with the largest real part is the
     simple Perron root, and the real part of its eigenvector has one sign
-    (Perron-Frobenius); the vector is normalized to sum 1.
+    (Perron-Frobenius); the vector is normalized to sum 1. This is the
+    package's only eigensolve: a ``CompleteMatrix`` keeps its result as
+    ``_perron_pair``, and each CR point makes one call.
 
     Returns:
-        (weights, lambda_max, residual) where residual is
-        ||A w - lambda w||_inf / lambda.
+        (weights, lambda_max), the weights read-only.
 
     Raises:
         ConvergenceFailureError: LAPACK does not converge, or the vector it
@@ -329,14 +376,12 @@ def _perron(a: np.ndarray) -> tuple[np.ndarray, float, float]:
     w = v / v.sum()
     if not np.all(w > 0):
         raise ConvergenceFailureError(f"Perron vector of the order-{n} matrix is not positive")
-    lam = float(vals[k].real)
-    residual = float(np.max(np.abs(a @ w - lam * w)) / lam)
-    return w, lam, residual
+    return _freeze(w), float(vals[k].real)
 
 
 def saaty_lambda_max(m: CompleteMatrix) -> float:
-    """Dominant (Perron) eigenvalue of the matrix, >= n."""
-    return _perron(m.entries)[1]
+    """Dominant (Perron) eigenvalue of the matrix, >= n (the matrix's ``_perron_pair``)."""
+    return m._perron_pair[1]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CompleteMatrix, IncompleteMatrix, _canonical_reciprocal, _freeze
+from .core import CompleteMatrix, IncompleteMatrix, _canonical_reciprocal, _components, _freeze
 from .errors import (
     AlphaNotGreaterThanOneError,
     BidirectionalArcError,
@@ -65,31 +65,6 @@ def _find_cycle(n: int, succ: list[list[int]]) -> list[int]:
             if found is not None:
                 return found
     raise AssertionError("no cycle found in a cyclic graph")
-
-
-def _components(n: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Weakly connected components, each sorted, ordered by smallest member."""
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in arcs:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen: set[int] = set()
-    comps = []
-    for s in range(n):
-        if s in seen:
-            continue
-        comp = []
-        stack = [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
 
 
 def build_dag(n: int, arcs: Iterable[tuple[int, int]]) -> PreferenceDag:

@@ -6,12 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CompleteMatrix,
-    IncompleteMatrix,
-    WeightVector,
-    _perron,
-)
+from .core import CompleteMatrix, IncompleteMatrix, WeightVector
 from .errors import DisconnectedComparisonGraphError
 
 
@@ -21,18 +16,23 @@ class EigenResult:
 
     weights: WeightVector
     lambda_max: float
-    iterations: int  # eigendecompositions, 1
+    iterations: int  # always 1, read by tests/test_tooling.py and perfbench/tracing.py
     residual: float  # ||A w - lambda w||_inf / lambda
 
 
 def eigenvector_weights(m: CompleteMatrix) -> EigenResult:
-    """Perron eigenvector normalized to sum 1, from one dense eigendecomposition.
+    """Perron eigenvector normalized to sum 1, with lambda_max and the residual.
+
+    The pair is the matrix's ``_perron_pair``: one dense eigendecomposition
+    on the first use for ``m``, or none where the CR completion that built
+    ``m`` attached the pair of its final point.
 
     Raises:
         ConvergenceFailureError: LAPACK does not converge, or the Perron
             vector it returns is not positive.
     """
-    w, lam, residual = _perron(m.entries)
+    w, lam = m._perron_pair
+    residual = float(np.max(np.abs(m.entries @ w - lam * w)) / lam)
     return EigenResult(WeightVector.from_raw(w), lam, 1, residual)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 
 import pcmlex.completion as completion
 from pcmlex import (
+    CompleteMatrix,
     IncompleteMatrix,
     TriadIndex,
     all_triads,
     build_dag,
     cr_optimal_completion,
     dag_to_incomplete_matrix,
+    eigenvector_weights,
     gci_optimal_completion,
     inconsistency_profile,
     is_consistent,
@@ -18,6 +21,7 @@ from pcmlex import (
     lex_optimal_completion,
     random_cdag,
     ratio_matrix,
+    run_pipeline,
     saaty_lambda_max,
     transitive_closure_matrix,
     validate_reciprocal,
@@ -68,6 +72,21 @@ def _traced_lex(monkeypatch, a):
     monkeypatch.setattr(completion, "solve_lp", recording_lp)
     completion.lex_optimal_completion(a)
     return states[0], stages
+
+
+def _reordered_triads(mp, triads):
+    """Make ``build_lex_lp`` read ``triads`` as its triad table; return the states it builds."""
+    table = (tuple(triads), np.array(triads, dtype=int).reshape(-1, 3))
+    states = []
+    build = completion.build_lex_lp
+
+    def recording_build(a):
+        states.append(build(a))
+        return states[-1]
+
+    mp.setattr(completion, "_triad_table", lambda n: table)
+    mp.setattr(completion, "build_lex_lp", recording_build)
+    return states
 
 
 def _fixed(state):
@@ -404,9 +423,11 @@ class TestLexCompletion:
             base, audit = lex_optimal_completion(a)
             triads = all_triads(5)
             perm = [triads[int(k)] for k in rng.permutation(len(triads))]
+            assert perm != triads
             with monkeypatch.context() as mp:
-                mp.setattr(completion, "all_triads", lambda n: perm)
+                states = _reordered_triads(mp, perm)
                 permuted, audit_p = lex_optimal_completion(a)
+            assert [s.triads for s in states] == [tuple(perm)]
             assert np.max(np.abs(permuted.entries - base.entries)) <= 1e-7
             # the canonical audit order does not depend on the triad order
             assert [(f.triad, f.stage) for f in audit_p] == [(f.triad, f.stage) for f in audit]
@@ -539,8 +560,10 @@ class TestLexAtScale:
 
         triads = all_triads(a.n)
         shuffled = [triads[int(k)] for k in rng.permutation(len(triads))]
-        monkeypatch.setattr(completion, "all_triads", lambda n: shuffled)
+        assert shuffled != triads
+        states = _reordered_triads(monkeypatch, shuffled)
         permuted, audit_t = lex_optimal_completion(a)
+        assert [s.triads for s in states] == [tuple(shuffled)]
         assert np.max(np.abs(np.log(permuted.entries) - logs)) <= 1e-9
         assert [(f.triad, f.stage) for f in audit_t] == [(f.triad, f.stage) for f in audit]
         assert [f.ti for f in audit_t] == pytest.approx([f.ti for f in audit], rel=1e-9)
@@ -724,7 +747,7 @@ class TestCrCompletion:
         # number 1.7e16; the row of its inverse for the Perron root missed u
         # by 5e-3
         m = ratio_matrix([0.3, 1.7, 2.2, 5.0, 9.0, 1.1]).entries
-        v, lam, _ = _perron(m)
+        v, lam = _perron(m)
         u, _ = completion._left_perron(m, v, lam)
         assert u @ v == pytest.approx(1.0, rel=1e-12)
         assert np.max(np.abs(u / u.sum() - power_iteration_reference(m.T)[0])) <= 1e-12
@@ -821,3 +844,84 @@ class TestCrCompletion:
         assert len(a.missing_pairs) == 6
         with pytest.raises(ValueError, match="initial_logs"):
             cr_optimal_completion(a, initial_logs=initial_logs)
+
+
+class TestCrPerronPair:
+    """The CR completion hands its final Perron pair to EM and lambda_max."""
+
+    @staticmethod
+    def _incomplete(fig2_dag):
+        fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (2.0, 9.0)]
+        cdags = [dag_to_incomplete_matrix(random_cdag(8, 0.4, seed), 5.0) for seed in range(3)]
+        return [*fig2, *cdags]
+
+    @staticmethod
+    def _complete():
+        rng = np.random.default_rng(97)
+        return [validate_reciprocal(random_reciprocal(n, rng)) for n in (3, 5, 8)]
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Count ``np.linalg.eig`` calls and CR points."""
+        counts = {"eig": 0, "point": 0}
+        eig, point = np.linalg.eig, completion._cr_point
+
+        def counting_eig(a):
+            counts["eig"] += 1
+            return eig(a)
+
+        def counting_point(*args):
+            counts["point"] += 1
+            return point(*args)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        monkeypatch.setattr(completion, "_cr_point", counting_point)
+        return counts
+
+    def test_one_eigendecomposition_per_cr_point(self, monkeypatch, fig2_dag):
+        counts = self._counting(monkeypatch)
+        for a in self._incomplete(fig2_dag):
+            before = dict(counts)
+            m, lam = cr_optimal_completion(a)
+            em = eigenvector_weights(m)
+            assert saaty_lambda_max(m) == em.lambda_max == lam
+            points = counts["point"] - before["point"]
+            assert points > 0
+            assert counts["eig"] - before["eig"] == points
+
+    def test_complete_input_one_eigendecomposition(self, monkeypatch):
+        counts = self._counting(monkeypatch)
+        for k, a in enumerate(self._complete(), 1):
+            m, lam = cr_optimal_completion(a)
+            assert eigenvector_weights(m).lambda_max == saaty_lambda_max(m) == lam
+            assert counts == {"eig": k, "point": 0}
+
+    @pytest.mark.parametrize("weighting", ["em", "llsm"])
+    def test_pipeline_one_eigendecomposition_per_cr_point(self, monkeypatch, fig2_dag, weighting):
+        counts = self._counting(monkeypatch)
+        for a in self._incomplete(fig2_dag):
+            before = dict(counts)
+            run_pipeline(a, "cr", weighting)
+            points = counts["point"] - before["point"]
+            assert points > 0
+            assert counts["eig"] - before["eig"] == points
+
+    def test_attached_pair_is_bitwise_a_fresh_solve(self, fig2_dag):
+        for a in [*self._incomplete(fig2_dag), *self._complete()]:
+            m, lam = cr_optimal_completion(a)
+            assert "_perron_pair" in vars(m)  # attached, not computed on this read
+            w, lam_attached = m._perron_pair
+            w_fresh, lam_fresh = _perron(m.entries)
+            assert w.tobytes() == w_fresh.tobytes()
+            assert lam_attached == lam_fresh == lam
+
+    def test_equality_ignores_the_pair(self, fig2_dag):
+        m, _ = cr_optimal_completion(dag_to_incomplete_matrix(fig2_dag, 5.0))
+        bare = CompleteMatrix._trusted(m.entries)
+        assert "_perron_pair" in vars(m) and "_perron_pair" not in vars(bare)
+        assert [f.name for f in dataclasses.fields(CompleteMatrix)] == ["n", "entries"]
+        assert m == bare and bare == m
+        assert repr(m) == repr(bare)
+        eigenvector_weights(bare)
+        assert "_perron_pair" in vars(bare) and m == bare
+        assert m != CompleteMatrix._trusted(m.entries[:3, :3])

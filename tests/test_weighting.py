@@ -64,7 +64,7 @@ class TestEigenvector:
 
 def _assert_matches_power_iteration(entries: np.ndarray) -> None:
     w_ref, lam_ref = power_iteration_reference(entries)
-    w, lam, _ = _perron(entries)
+    w, lam = _perron(entries)
     assert np.max(np.abs(w - w_ref)) <= 1e-10
     assert abs(lam - lam_ref) <= 1e-10 * lam_ref
 
