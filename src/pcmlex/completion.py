@@ -1,10 +1,12 @@
 """Completion of incomplete comparison matrices by three optimality targets.
 
 * lexicographically optimal: sorted triad-inconsistency vector is
-  lexicographically minimal. The successive min-max LPs over log-space
-  variables are one parametric run on one tableau: the level falls by
-  dual-simplex pivots until a row certifies it, the triads that
-  certificate prices freeze, and the run goes on from the same basis;
+  lexicographically minimal. The successive min-max LPs over the free
+  log variables of the missing entries are one parametric run on one
+  tableau, one column per missing entry: the level falls by dual-simplex
+  pivots until a row certifies it, the triads that certificate prices
+  freeze, and the run goes on from the same basis. Each stage's primal
+  residual and duality gap are computed only when read;
 * GCI-optimal: missing entries filled with ratios of the incomplete
   log-least-squares weights;
 * CR-optimal: missing entries minimize the dominant eigenvalue, found by
@@ -16,7 +18,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .core import (
     saaty_lambda_max,
 )
 from .errors import (
+    CompletionOverflowError,
     ConvergenceFailureError,
     DisconnectedComparisonGraphError,
     NoBindingDualFoundError,
@@ -38,6 +42,7 @@ from .weighting import _incomplete_llsm
 
 OBJ_RTOL = 1e-9  # objective below this times max |const| counts as zero
 DUAL_TOL = 1e-9  # |triad dual| above this freezes it; absolute, as the active duals sum to -1
+_LOG_MAX = math.log(np.finfo(float).max)  # exp(t) and 1 / exp(t) are finite and nonzero for |t| <= this
 
 
 @dataclass
@@ -46,35 +51,41 @@ class LexLpState:
 
     One cycle sum per triad: s = log a_ij + log a_jk - log a_ik over the
     triad's three pairs, where known entries contribute to ``const`` and
-    missing ones a +/-1 coefficient on their log variable. With t = d+ - d-
-    (d+, d- >= 0), a slack u >= 0 per row and the level z = z0 - w, where
-    z0 = ``scale``, triad l has a +s row and then a -s row:
+    missing ones a +/-1 coefficient on their free log variable t. With a
+    slack u >= 0 per row and the level z = z0 - w, where z0 = ``scale``,
+    triad l has a +s row and then a -s row:
 
-        +coef_l @ d + u = z0 - const_l - w,  -coef_l @ d + u = z0 + const_l - w
+        +coef_l @ t + u = z0 - const_l - w,  -coef_l @ t + u = z0 + const_l - w
 
     A frozen triad is tight at every optimum of every later stage: its rows
-    drop the w term (right-hand sides bound_l -/+ const_l) and its slacks,
-    ``barred`` by label, may not enter the basis.
+    drop the w term (right-hand sides bound_l -/+ const_l) and its slacks
+    may neither enter nor leave the basis. So they never move, and
+    ``leaves`` (by row) and ``lo`` (by column) keep them out by position.
 
     ``tab`` is the condensed (Tucker) tableau of the current basis: row i
     reads x[basic[i]] = tab[i, -2] - w * tab[i, -1] - tab[i, :-2] @
-    x[nonbasic]. Labels are d+ 0..m-1, d- m..2m-1, then the slack of row r
-    at 2m + r. The run starts at t = 0, w = 0 with every slack basic,
+    x[nonbasic]. Labels are t 0..m-1, then the slack of row r at m + r. A
+    nonbasic t is 0; a t that enters the basis never leaves it, as t has no
+    sign to keep. The run starts at t = 0, w = 0 with every slack basic,
     feasible as z0 bounds every |const|. ``t`` and ``w`` are the point
     reached; ``pivots`` and ``stages`` count pivots and certificates.
     """
 
     missing_pairs: tuple[tuple[int, int], ...]
+    rows: np.ndarray  # (m,) row index of each missing pair, missing_pairs order
+    cols: np.ndarray  # (m,) column index of each missing pair
     triads: tuple[TriadIndex, ...]
     coef: np.ndarray  # (T, m) coefficients of cycle sums on log variables
     const: np.ndarray  # (T,) known part of each cycle sum (natural log)
     scale: float  # max |const|: z0, the level at t = 0, so an upper bound on every stage's
     bound: np.ndarray  # (T,) frozen bound on |cycle sum|, NaN while active
     t: np.ndarray  # (m,) log values reached by the run
-    tab: np.ndarray  # (2T, 2m + 2) condensed tableau: nonbasic columns, value, rate
+    tab: np.ndarray  # (2T, m + 2) condensed tableau: nonbasic columns, value, rate
     basic: np.ndarray  # (2T,) label of each row's basic variable
-    nonbasic: np.ndarray  # (2m,) label of each nonbasic column
-    barred: np.ndarray  # (2m + 2T,) bool by label
+    nonbasic: np.ndarray  # (m,) label of each nonbasic column
+    leaves: np.ndarray  # (2T,) bool by row: the basic variable is an active slack, so may leave
+    lo: np.ndarray  # (m,) by column: an entry below it may enter; -inf for a frozen slack
+    hi: np.ndarray  # (m,) by column: an entry above it may enter; inf for any slack
     w: float = 0.0
     pivots: int = 0
     stages: int = 0
@@ -90,18 +101,20 @@ class LexLpState:
         Dropping row r's w term at level w_f = z0 - bound adds B^-1 e_r, the
         tableau column of row r's slack, times (-w_f, -1) to the (value,
         rate) columns: the stored column if that slack is nonbasic, a unit
-        vector if it is basic.
+        vector if it is basic. The frozen slacks' columns are summed first.
         """
         pos = np.atleast_1d(pos)
-        pos = pos[self.active[pos]]
+        pos = pos[np.isnan(self.bound[pos])]
         self.bound[pos] = bound
-        frozen = np.zeros_like(self.barred)
-        frozen[len(self.nonbasic) + 2 * pos] = True  # slack labels start at 2m
-        frozen[len(self.nonbasic) + 2 * pos + 1] = True
-        self.barred |= frozen
-        column = self.tab[:, :-2] @ frozen[self.nonbasic]
-        column[frozen[self.basic]] += 1.0
-        self.tab[:, -2:] -= np.outer(column, (self.scale - bound, 1.0))
+        frozen = np.zeros(len(self.t) + len(self.basic), bool)  # by label
+        frozen[len(self.t) :].reshape(-1, 2)[pos] = True  # by triad, its two rows' slacks
+        in_rows, in_cols = frozen[self.basic], frozen[self.nonbasic]
+        self.leaves[in_rows] = False
+        self.lo[in_cols] = -np.inf
+        column = self.tab.take(in_cols.nonzero()[0], axis=1).sum(axis=1)
+        column[in_rows] += 1.0
+        self.tab[:, -2] -= (self.scale - bound) * column
+        self.tab[:, -1] -= column
 
     def cycle_sums(self, t: np.ndarray) -> np.ndarray:
         return self.const + self.coef @ t
@@ -109,13 +122,38 @@ class LexLpState:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """One stage of the run: its level, the point reached and the certificate's duals."""
+    """One stage of the run: its level, the point reached and the certificate's duals.
+
+    ``feasibility_residual`` and ``duality_gap`` are computed when first
+    read, from the stage's own data in ``_stage``: the state's ``coef``,
+    ``const`` and ``scale``, the stage's w, a copy of the bounds it saw and
+    the certificate's per-triad slack sums ``pair`` (plus + minus row) and
+    ``diff`` (plus - minus). A stage with no certificate has none, and
+    reads 0 for both.
+    """
 
     objective: float
     t: np.ndarray  # log values in missing_pairs order
     duals: np.ndarray  # (T,) dual on each triad's bounding pair (<= 0)
-    feasibility_residual: float
-    duality_gap: float
+    _stage: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def feasibility_residual(self) -> float:
+        """Largest |cycle sum| above the level on an active triad, or off its bound on a frozen one."""
+        if self._stage is None:
+            return 0.0
+        coef, const, _, _, bound, _, _ = self._stage
+        abs_s = np.abs(const + coef @ self.t)
+        off = np.where(np.isnan(bound), abs_s - self.objective, np.abs(abs_s - bound))
+        return float(np.max(off, initial=0.0))
+
+    @cached_property
+    def duality_gap(self) -> float:
+        """|y @ rhs - w| for the certificate's combination y of the original rows."""
+        if self._stage is None:
+            return 0.0
+        _, const, z0, w, bound, pair, diff = self._stage
+        return abs(pair @ np.where(np.isnan(bound), z0, bound) - diff @ const - w)
 
 
 @dataclass(frozen=True)
@@ -141,43 +179,53 @@ def build_lex_lp(a: IncompleteMatrix) -> LexLpState:
             "lexicographic completion needs a connected comparison graph"
         )
     triads, idx = _triad_table(a.n)
-    rows, cols = np.nonzero(np.triu(~a.known, 1))  # missing_pairs order
-    var = np.full((a.n, a.n), -1)
-    var[rows, cols] = np.arange(len(rows))
+    rows, cols = np.array(a.missing_pairs, dtype=np.intp).reshape(-1, 2).T
+    m, n_triads = len(rows), len(triads)
+    var = np.full((a.n, a.n), m)  # a known pair points at the sentinel column m
+    var[rows, cols] = np.arange(m)
     i, j, k = idx.T
     # cycle sum log a_ij + log a_jk + log a_ki, with log a_ki = -log a_ik
     logs = np.log(np.where(a.known, a.entries, 1.0))
     const = logs[i, j] + logs[j, k] - logs[i, k]
-    v = var[np.stack((i, j, i)), np.stack((j, k, k))]  # (3, T): pairs ij, jk, ik
-    side, pos = np.nonzero(v >= 0)
-    m, n_rows = len(rows), 2 * len(triads)
-    coef = np.zeros((len(triads), m))
-    coef[pos, v[side, pos]] = np.array([1.0, 1.0, -1.0])[side]
+    coef = np.zeros((n_triads, m + 1))
+    pairs = var[idx[:, [0, 1, 0]], idx[:, [1, 2, 2]]]  # (T, 3): the variables of ij, jk, ik
+    coef[np.arange(n_triads)[:, None], pairs] = (1.0, 1.0, -1.0)
+    coef = coef[:, :m]
     z0 = float(np.max(np.abs(const), initial=0.0))
-    tab = np.empty((n_rows, 2 * m + 2))
+    tab = np.empty((2 * n_triads, m + 2))
     tab[0::2, :m] = coef  # +s row, then -s row, of each triad
     tab[1::2, :m] = -coef
-    tab[:, m : 2 * m] = -tab[:, :m]
     tab[0::2, -2] = z0 - const
     tab[1::2, -2] = z0 + const
     tab[:, -1] = 1.0
     return LexLpState(
         missing_pairs=a.missing_pairs,
+        rows=rows,
+        cols=cols,
         triads=triads,
         coef=coef,
         const=const,
         scale=z0,
-        bound=np.full(len(triads), np.nan),
+        bound=np.full(n_triads, np.nan),
         t=np.zeros(m),
         tab=tab,
-        basic=np.arange(2 * m, 2 * m + n_rows),
-        nonbasic=np.arange(2 * m),
-        barred=np.zeros(2 * m + n_rows, bool),
+        basic=np.arange(m, m + 2 * n_triads),
+        nonbasic=np.arange(m),
+        leaves=np.ones(2 * n_triads, bool),
+        lo=np.full(m, -PIVOT_TOL),
+        hi=np.full(m, PIVOT_TOL),
     )
 
 
 def _pivot(state: LexLpState, row: int, enter: int) -> None:
-    """Exchange the basic variable of ``row`` with the nonbasic one of column ``enter``."""
+    """Exchange the basic variable of ``row`` with the nonbasic one of column ``enter``.
+
+    The leaving variable is an active slack. An entering t holds the row
+    for good, and the column now holds a slack.
+    """
+    if state.nonbasic[enter] < len(state.t):
+        state.leaves[row] = False
+        state.hi[enter] = np.inf
     tab = state.tab
     col = tab[:, enter].copy()
     tab[:, enter] = 0.0  # becomes the leaving variable's column, a unit vector before
@@ -195,80 +243,78 @@ def solve_lp(state: LexLpState) -> LpSolution:
     Raising w (lowering the level z = z0 - w) from ``state.w``, row i's
     basic variable tab[i, -2] - w * tab[i, -1] reaches 0 at the ratio
     tab[i, -2] / tab[i, -1] if its rate is positive; the smallest ratio
-    blocks. Rows of frozen slacks take no part: their rates and their
-    entries on every column that may enter are within ``DUAL_TOL`` of 0. A
-    blocking row with an entry below -``PIVOT_TOL`` on a column that may
-    enter leaves by a dual-simplex pivot (Bland's rule: the smallest label
-    of the tied rows leaves, the smallest eligible label enters), which
-    keeps the point and lets w rise further. A blocking row with no such
+    blocks. Only rows of active slacks take part: a basic t is free and
+    never leaves, and rows of frozen slacks have rates and entries on every
+    column that may enter within ``DUAL_TOL`` of 0. A blocking row leaves
+    by a dual-simplex pivot if it has an eligible entry: one above
+    ``PIVOT_TOL`` in magnitude on a t column, or one below -``PIVOT_TOL`` on
+    the column of a slack that may enter. That keeps the point and lets w
+    rise further (Bland's rule: the smallest label of the tied rows leaves,
+    the smallest eligible label enters). A blocking row with no eligible
     entry is a Farkas certificate that w can rise no further: it is a
-    combination y >= 0 of the rows that cancels d, whose slack entries (1
-    for its own basic slack) divided by its rate are an optimal dual of the
-    stage, with active part summing to 1. The stage's dual is the mean over
-    every tied certificate, so it prices what any of them does.
+    combination y >= 0 of the rows that cancels t (its entries on the t
+    columns are 0 up to ``PIVOT_TOL``), whose slack entries (1 for its own
+    basic slack) divided by its rate are an optimal dual of the stage, with
+    active part summing to 1. The stage's dual is the mean over every tied
+    certificate, so it prices what any of them does.
 
     Triad duals are minus the sum over the triad's two rows (<= 0), and 0
-    on frozen triads. ``feasibility_residual`` is the largest |cycle sum|
-    above the level on an active triad or off its bound on a frozen one;
-    ``duality_gap`` is |y @ rhs - w| over the original right-hand sides.
-    The point is written to ``state.t`` and ``state.w``. With every triad
-    frozen there is no level: the objective is 0 and the run does not move.
+    on frozen triads. The point is written to ``state.t`` and ``state.w``.
+    With every triad frozen there is no level: the objective is 0 and the
+    run does not move. The stage's diagnostics are left to ``LpSolution``,
+    which computes them only when read.
 
     Raises:
         ConvergenceFailureError: the run needs more than ``MAX_PIVOTS`` pivots.
     """
     active = state.active
     if not active.any():
-        return LpSolution(0.0, state.t, np.zeros(len(active)), 0.0, 0.0)
+        return LpSolution(0.0, state.t, np.zeros(len(active)))
     z0, m = state.scale, len(state.t)
     tie = RATIO_TIE_TOL * z0  # w stays within [0, z0]
-    barred = state.barred
     tab, basic, nonbasic = state.tab, state.basic, state.nonbasic
-    # a pivot swaps an allowed label in for an allowed one: both masks stay
-    candidate, allowed = ~barred[basic], ~barred[nonbasic]
+    leaves, lo, hi = state.leaves, state.lo, state.hi
+    ratios = np.empty(len(basic))
     while True:
         rate = tab[:, -1]
-        ratios = np.full(len(rate), np.inf)
-        np.divide(tab[:, -2], rate, out=ratios, where=candidate & (rate > PIVOT_TOL))
+        ratios.fill(np.inf)
+        np.divide(tab[:, -2], rate, out=ratios, where=leaves & (rate > PIVOT_TOL))
         w = ratios.min()
         if w == np.inf:  # nothing blocks: no certificate to read duals from
-            return LpSolution(z0 - state.w, state.t, np.zeros(len(active)), 0.0, 0.0)
+            return LpSolution(z0 - state.w, state.t, np.zeros(len(active)))
         tied = (ratios <= w + tie).nonzero()[0]
-        eligible = (tab[tied, :-2] < -PIVOT_TOL) & allowed
+        entries = tab.take(tied, axis=0)[:, :-2]
+        eligible = (entries < lo) | (entries > hi)  # either sign on t, negative on a slack
         pivotable = eligible.any(axis=1)
         if not pivotable.all():
             break
         if state.pivots >= MAX_PIVOTS:
             raise ConvergenceFailureError(f"lexicographic run exceeded {MAX_PIVOTS} pivots")
         leave = basic[tied].argmin()
-        enter = np.where(eligible[leave], nonbasic, len(barred)).argmin()
+        enter = np.where(eligible[leave], nonbasic, m + len(basic)).argmin()  # smallest label
         _pivot(state, int(tied[leave]), int(enter))
 
-    x = np.zeros(len(barred))  # by label
-    x[basic] = tab[:, -2] - w * tab[:, -1]
-    state.t = x[:m] - x[m : 2 * m]
+    t_rows = (basic < m).nonzero()[0]
+    value, rate = tab.take(t_rows, axis=0)[:, -2:].T
+    state.t = np.zeros(m)
+    state.t[basic[t_rows]] = value - w * rate
     state.w = float(w)
     state.stages += 1
 
-    # each certificate's basic variable is an active slack: a row whose
-    # basic variable is d+ (d-) has -1 on the nonbasic d- (d+) column
+    # each certificate's basic variable is an active slack
     certificates = tied[~pivotable]
-    share = 1.0 / (tab[certificates, -1] * len(certificates))
-    y = np.zeros(len(barred))  # by label; the d part is 0 up to rounding
-    y[nonbasic] = share @ tab[certificates, :-2]
+    rows = tab.take(certificates, axis=0)
+    share = 1.0 / (rows[:, -1] * len(certificates))
+    y = np.zeros(m + len(basic))  # by label; the t part is 0 up to rounding
+    y[nonbasic] = share @ rows[:, :-2]
     y[basic[certificates]] += share
-    plus, minus = y[2 * m :: 2], y[2 * m + 1 :: 2]  # the slacks of each triad's two rows
-    pair, diff = plus + minus, plus - minus
-
-    objective = z0 - state.w
-    abs_s = np.abs(state.cycle_sums(state.t))
-    off = np.where(active, abs_s - objective, np.abs(abs_s - state.bound))
+    plus, minus = y[m::2], y[m + 1 :: 2]  # the slacks of each triad's two rows
+    pair = plus + minus
     return LpSolution(
-        objective=objective,
+        objective=z0 - state.w,
         t=state.t,
         duals=np.where(active, -pair, 0.0),
-        feasibility_residual=float(np.max(off, initial=0.0)),
-        duality_gap=abs(pair @ np.where(active, z0, state.bound) - diff @ state.const - state.w),
+        _stage=(state.coef, state.const, z0, state.w, state.bound.copy(), pair, plus - minus),
     )
 
 
@@ -309,6 +355,8 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
 
     Raises:
         DisconnectedComparisonGraphError: completion would not be unique.
+        CompletionOverflowError: a completed entry, its reciprocal or a frozen
+            triad's TI is beyond float64.
         ConvergenceFailureError: the run needs more than ``MAX_PIVOTS`` pivots.
     """
     if a.is_complete:
@@ -317,30 +365,45 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
     zero = OBJ_RTOL * state.scale
     sol = solve_lp(state)
     order: list[int] = []  # triad positions in freeze order
+    left = len(state.triads)  # active triads
     while sol.objective > zero:
-        batch = np.flatnonzero(state.active & (np.abs(sol.duals) > DUAL_TOL))
+        batch = (np.abs(sol.duals) > DUAL_TOL).nonzero()[0]  # duals are 0 on frozen triads
         if not batch.size:  # the active duals of a certificate sum to -1
             raise NoBindingDualFoundError(f"objective {sol.objective:.3e} > 0, no triad tight")
         state.freeze(batch, sol.objective)
         order.extend(batch.tolist())
-        if not state.active.any():
+        left -= batch.size
+        if not left:
             break
         sol = solve_lp(state)
 
+    # checked before any exp, so an input beyond float64 fails by name, not by overflow
+    if not np.all(np.abs(sol.t) <= _LOG_MAX):
+        e = int(np.argmax(np.abs(sol.t)))
+        raise CompletionOverflowError(
+            f"completed log entry {sol.t[e]:.6g} at pair {state.missing_pairs[e]} is beyond "
+            f"float64: exp of it or of its negative overflows (|log| > {_LOG_MAX:.6g})"
+        )
+    bounds = state.bound.tolist()
+    top = max(order, key=bounds.__getitem__, default=None)  # the largest frozen bound
+    if top is not None and bounds[top] > _LOG_MAX:
+        raise CompletionOverflowError(
+            f"triad {tuple(state.triads[top])} has TI exp({bounds[top]:.6g}), "
+            f"beyond float64 (log > {_LOG_MAX:.6g})"
+        )
     runs: list[list[int]] = []
     first = math.inf
     for p in order:
-        if abs(state.bound[p] - first) > zero:
-            first = state.bound[p]
+        if abs(bounds[p] - first) > zero:
+            first = bounds[p]
             runs.append([])
         runs[-1].append(p)
     canonical = [p for run in runs for p in sorted(run, key=lambda p: state.triads[p])]
     audit = [
-        FreezeRecord(state.triads[p], math.exp(state.bound[p]), stage)
+        FreezeRecord(state.triads[p], math.exp(bounds[p]), stage)
         for stage, p in enumerate(canonical, 1)
     ]
-    rows, cols = np.array(state.missing_pairs).T
-    return CompleteMatrix._trusted(_fill_missing(a.entries, rows, cols, sol.t)), audit
+    return CompleteMatrix._trusted(_fill_missing(a.entries, state.rows, state.cols, sol.t)), audit
 
 
 def gci_optimal_completion(a: IncompleteMatrix) -> CompleteMatrix:

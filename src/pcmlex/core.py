@@ -9,6 +9,7 @@ labels.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -396,6 +397,12 @@ class OrdinalViolation:
     kind: str  # "strict" (a_ij > 1 but w_i <= w_j) or "equality" (a_ij = 1, w_i != w_j)
 
 
+def _check_eq_tol(eq_tol: float) -> None:
+    """Raise ``ValueError`` unless ``eq_tol`` is finite and >= 0 (a NaN would skip every tie)."""
+    if not (math.isfinite(eq_tol) and eq_tol >= 0.0):
+        raise ValueError(f"eq_tol must be finite and >= 0; got {eq_tol!r}")
+
+
 def check_ordinal_violation(
     a: IncompleteMatrix,
     w: WeightVector | Sequence[float] | np.ndarray,
@@ -407,7 +414,11 @@ def check_ordinal_violation(
     violation is a known a_ij = 1 (within a 1e-9 window, since float inputs
     are never exactly 1) whose weights differ by more than
     ``eq_tol * max(w_i, w_j)``. An empty list means no ordinal violation.
+
+    Raises:
+        ValueError: ``eq_tol`` is not finite and >= 0.
     """
+    _check_eq_tol(eq_tol)
     wv = w if isinstance(w, WeightVector) else WeightVector.from_raw(w)
     if wv.n != a.n:
         raise DimensionMismatchError(

@@ -77,6 +77,10 @@ class DisconnectedComparisonGraphError(PcmError):
     """Comparison graph of an incomplete matrix is not connected."""
 
 
+class CompletionOverflowError(InvalidInputError):
+    """A completed entry, its reciprocal or a frozen triad's TI is beyond float64."""
+
+
 # -- solvers ----------------------------------------------------------------
 
 class ConvergenceFailureError(PcmError):

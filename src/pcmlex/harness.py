@@ -24,6 +24,7 @@ from .core import (
     IncompleteMatrix,
     OrdinalViolation,
     WeightVector,
+    _check_eq_tol,
     check_ordinal_violation,
     inconsistency_profile,
     saaty_lambda_max,
@@ -277,9 +278,11 @@ def sweep_alpha(
     -1, NaN metrics) and the sweep continues.
 
     Raises:
-        ValueError: unknown completion or weighting method, before any alpha.
+        ValueError: unknown completion or weighting method, or an ``eq_tol``
+            that is not finite and >= 0, before any alpha.
     """
     _check_methods(completion, weighting)
+    _check_eq_tol(eq_tol)
     if alphas is None:
         alphas = alpha_grid()
     pair = f"{completion}+{weighting}"

@@ -305,6 +305,34 @@ class TestMalformedInput:
         assert code == 2
         assert "reciprocity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["pipeline", "{g}", "--completion", "lex", "--weighting", "em", "--alpha", "5"],
+            ["sweep-alpha", "{g}", "--completion", "gci", "--weighting", "llsm",
+             "--alpha-min", "2", "--alpha-max", "3"],
+        ],
+        ids=["pipeline", "sweep-alpha"],
+    )
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tol_exit_2(self, fig2_file, command, tol, capsys):
+        code = main([arg.format(g=fig2_file) for arg in command] + ["--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: eq_tol")
+
+    def test_lex_overflow_exit_2(self, tmp_path):
+        # alpha = 1e300 on a 6-vertex DAG completes log entries past 709:
+        # exp would overflow, and EM then failed with the solver-failure exit
+        g = tmp_path / "g.dag"
+        g.write_text(run_cli("gen-dag", "6", "--seed", "1").stdout)
+        proc = run_cli("pipeline", str(g), "--completion", "lex", "--weighting", "em",
+                       "--alpha", "1e300")
+        assert proc.returncode == 2
+        assert "pair" in proc.stderr and "float64" in proc.stderr
+        assert "Warning" not in proc.stderr
+
     def test_infinite_alpha_exit_2(self, fig2_file):
         proc = run_cli("pipeline", fig2_file, "--completion", "lex", "--weighting", "em",
                        "--alpha", "inf")

@@ -29,8 +29,10 @@ from pcmlex import (
 from pcmlex.completion import build_lex_lp, solve_lp
 from pcmlex.core import _perron
 from pcmlex.errors import (
+    CompletionOverflowError,
     ConvergenceFailureError,
     DisconnectedComparisonGraphError,
+    InvalidInputError,
     NoBindingDualFoundError,
 )
 
@@ -193,14 +195,16 @@ class TestSolveLp:
     @pytest.mark.parametrize("dag,alpha", _warm_start_inputs())
     def test_every_stage_starts_feasible(self, monkeypatch, dag, alpha):
         # every stage starts where the last one ended, at a primal-feasible
-        # basis; it ends at a certificate whose duals price only triads at the
-        # level, and whose residual and gap on the original rows are small
+        # basis (every basic slack >= 0; a basic t is free); it ends at a
+        # certificate whose duals price only triads at the level, and whose
+        # residual and gap on the original rows are small
         stage_lp = completion.solve_lp
         stages = []
 
         def checking_lp(state):
             x = state.tab[:, -2] - state.w * state.tab[:, -1]
-            assert np.all(x >= -1e-9 * state.scale)
+            slack = state.basic >= len(state.t)
+            assert np.all(x[slack] >= -1e-9 * state.scale)
             sol = stage_lp(state)
             stages.append(sol)
             priced = np.abs(sol.duals) > completion.DUAL_TOL
@@ -289,13 +293,36 @@ class TestSolveLp:
         assert state.pivots == sum(calls)
         assert idle == [0] * len(idle)
 
+    @pytest.mark.parametrize("a", _stage_inputs())
+    def test_diagnostics_read_after_the_run_are_the_stages_own(self, monkeypatch, a):
+        # the residual and gap are computed when first read; read only after
+        # the whole run, each is still its stage's value, not one computed
+        # with the bounds of triads frozen later
+        stage_lp = completion.solve_lp
+        stages, expected = [], []
+
+        def recording_lp(state):
+            sol = stage_lp(state)
+            s = np.abs(state.cycle_sums(sol.t))
+            off = np.where(state.active, s - sol.objective, np.abs(s - state.bound))
+            # a copy with an empty cache reads the stage's data now
+            expected.append((float(np.max(off, initial=0.0)), dataclasses.replace(sol).duality_gap))
+            stages.append(sol)
+            return sol
+
+        monkeypatch.setattr(completion, "solve_lp", recording_lp)
+        completion.lex_optimal_completion(a)
+        assert len(stages) > 1
+        assert [(sol.feasibility_residual, sol.duality_gap) for sol in stages] == expected
+
     def test_pivot_count_pinned(self, monkeypatch):
-        # deterministic under Bland's rule: 48 pivots now, 302 over the 19
-        # stage LPs that each started a simplex from its slack basis, and
-        # about 40,000 with every stage LP started from t = 0
+        # deterministic under Bland's rule: 39 pivots now, 48 when each log
+        # entry was split into two signed columns, 302 over the 19 stage LPs
+        # that each started a simplex from its slack basis, and about 40,000
+        # with every stage LP started from t = 0
         a = dag_to_incomplete_matrix(random_cdag(10, 0.3, 123), 5.0)
         state, _ = _traced_lex(monkeypatch, a)
-        assert state.pivots <= 100
+        assert state.pivots <= 45
 
     def test_pivot_budget_guard(self, monkeypatch):
         # a run that needs more pivots than MAX_PIVOTS stops with an error
@@ -343,9 +370,7 @@ class TestSolveLp:
             if len(calls) > 5:
                 raise AssertionError("lex loop re-solved an unchanged stage")
             sol = solve_lp(state)
-            return completion.LpSolution(
-                0.5 * sol.objective, sol.t, np.zeros_like(sol.duals), 0.0, 0.0
-            )
+            return completion.LpSolution(0.5 * sol.objective, sol.t, np.zeros_like(sol.duals))
 
         monkeypatch.setattr(completion, "solve_lp", unpriced_lp)
         with pytest.raises(NoBindingDualFoundError):
@@ -362,6 +387,28 @@ class TestSolveLp:
 
 
 class TestLexCompletion:
+    def test_overflow_raises_before_exp(self):
+        # on the chain 0 > 1 > 2, a_02 = alpha^2: at alpha = 1e300 its log,
+        # 1381.55, is beyond float64, so the fill would warn and return inf
+        # (the warning would fail this test as an error)
+        g = build_dag(3, [(0, 1), (1, 2)])
+        with pytest.raises(CompletionOverflowError, match=r"1381\.55.*pair \(0, 2\)"):
+            lex_optimal_completion(dag_to_incomplete_matrix(g, 1e300))
+        assert issubclass(CompletionOverflowError, InvalidInputError)
+        m, _ = lex_optimal_completion(dag_to_incomplete_matrix(g, 1e150))
+        assert m[0, 2] == pytest.approx(1e300, rel=1e-9)
+        assert m[2, 0] == pytest.approx(1e-300, rel=1e-9)
+
+    def test_audit_ti_overflow_raises(self):
+        # the known triad (0, 1, 2) has cycle sum 3 log 1e300 = 2072.3: its
+        # TI, exp of that, is beyond float64 (math.exp raised OverflowError)
+        a = validate_reciprocal(
+            [[1, 1e300, 1e-300, None], [1e-300, 1, 1e300, 2], [1e300, 1e-300, 1, 3],
+             [None, 0.5, 1 / 3, 1]]
+        )
+        with pytest.raises(CompletionOverflowError, match=r"triad \(0, 1, 2\).*2072\.3"):
+            lex_optimal_completion(a)
+
     def test_example2_full_reproduction(self, example2):
         m, audit = lex_optimal_completion(example2)
         assert m[0, 2] == pytest.approx(4.0, abs=1e-6)
@@ -569,11 +616,12 @@ class TestLexAtScale:
         assert [f.ti for f in audit_t] == pytest.approx([f.ti for f in audit], rel=1e-9)
 
     def test_stage_and_pivot_count_pinned_n15(self, monkeypatch):
-        # 69 stages and 108 pivots now; 72 stage LPs and 2,158 pivots when
+        # 69 stages and 95 pivots now; 108 pivots when each log entry was
+        # split into two signed columns, 72 stage LPs and 2,158 pivots when
         # each stage was its own LP
         state, stages = _traced_lex(monkeypatch, self._matrix(15))
         assert state.stages == len(stages) <= 80
-        assert state.pivots <= 200
+        assert state.pivots <= 100
 
 
 @pytest.mark.parametrize(

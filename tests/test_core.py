@@ -429,6 +429,19 @@ class TestOrdinalViolation:
         with pytest.raises(DimensionMismatchError):
             check_ordinal_violation(a, [0.2, 0.3, 0.5])
 
+    @pytest.mark.parametrize("eq_tol", [float("nan"), -1.0, float("inf"), -float("inf")])
+    def test_eq_tol_must_be_finite_and_nonnegative(self, eq_tol):
+        # a NaN tolerance made every equality check false, so [0.4, 0.6] on a
+        # stated tie read clean; a negative one flagged equal weights
+        a = validate_reciprocal([[1, 1], [1, 1]])
+        with pytest.raises(ValueError, match="eq_tol"):
+            check_ordinal_violation(a, [0.4, 0.6], eq_tol=eq_tol)
+
+    def test_eq_tol_zero_is_exact(self):
+        a = validate_reciprocal([[1, 1], [1, 1]])
+        assert check_ordinal_violation(a, [0.5, 0.5], eq_tol=0.0) == []
+        assert len(check_ordinal_violation(a, [0.4, 0.6], eq_tol=0.0)) == 1
+
     def test_consistent_matrix_row_means_have_no_violation(self):
         rng = np.random.default_rng(23)
         for _ in range(20):

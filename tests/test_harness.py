@@ -132,6 +132,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             alpha_grid(start, stop, step)
 
+    @pytest.mark.parametrize("eq_tol", [float("nan"), -1.0])
+    def test_sweep_rejects_bad_eq_tol_before_any_alpha(self, monkeypatch, fig2_dag, eq_tol):
+        def never(*args, **kwargs):
+            raise AssertionError("a pipeline ran before eq_tol was checked")
+
+        monkeypatch.setattr(harness, "run_pipeline", never)
+        with pytest.raises(ValueError, match="eq_tol"):
+            sweep_alpha(fig2_dag, "gci", "llsm", alphas=(2.0, 3.0), eq_tol=eq_tol)
+
     def test_alpha_grid_single_point(self):
         assert alpha_grid(2.0, 2.0, 0.5) == (2.0,)
 
