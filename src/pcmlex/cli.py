@@ -33,7 +33,9 @@ from .fileio import (
 )
 from .graph import PreferenceDag, dag_to_incomplete_matrix, random_cdag
 from .harness import (
+    COMPLETIONS,
     SWEEP_COLUMNS,
+    WEIGHTINGS,
     alpha_grid,
     complete_matrix,
     derive_weights,
@@ -139,7 +141,7 @@ def _cmd_check_violations(args) -> int:
     elif args.method:
         w = derive_weights(complete_matrix(a, "lex"), args.method).w
     else:
-        raise ParseError("provide --weights FILE or --method {em,llsm}")
+        raise ParseError("provide --weights FILE or --method {" + ",".join(WEIGHTINGS) + "}")
     violations = check_ordinal_violation(a, w, eq_tol=args.tol)
     for v in violations:
         print(
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complete", help="complete an incomplete matrix file")
     p.add_argument("input", help="matrix file")
-    p.add_argument("--method", choices=("lex", "gci", "cr"), required=True)
+    p.add_argument("--method", choices=tuple(COMPLETIONS), required=True)
     p.add_argument("--audit", action="store_true",
                    help="print freeze audit (lex only) before the matrix")
     p.add_argument("-o", "--output", default=None)
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="derive priority weights from a matrix")
     p.add_argument("input", help="matrix or DAG file")
-    p.add_argument("--method", choices=("em", "llsm"), required=True)
+    p.add_argument("--method", choices=tuple(WEIGHTINGS), required=True)
     p.add_argument("--input-kind", choices=("auto", "matrix", "dag"), default="auto")
     p.add_argument("-o", "--output", default=None)
     _add_options(p, "--alpha", "--format")
@@ -268,15 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-violations", help="audit weights against a matrix")
     p.add_argument("matrix", help="matrix file")
     p.add_argument("--weights", default=None, help="file of n whitespace-separated weights")
-    p.add_argument("--method", choices=("em", "llsm"), default=None,
+    p.add_argument("--method", choices=tuple(WEIGHTINGS), default=None,
                    help="derive the weights instead (lex completion if incomplete)")
     _add_options(p, "--tol")
     p.set_defaults(func=_cmd_check_violations)
 
     p = sub.add_parser("pipeline", help="DAG/matrix -> completion -> weights -> audit")
     p.add_argument("input", help="matrix or DAG file")
-    p.add_argument("--completion", choices=("lex", "gci", "cr"), required=True)
-    p.add_argument("--weighting", choices=("em", "llsm"), required=True)
+    p.add_argument("--completion", choices=tuple(COMPLETIONS), required=True)
+    p.add_argument("--weighting", choices=tuple(WEIGHTINGS), required=True)
     p.add_argument("--input-kind", choices=("auto", "matrix", "dag"), default="auto")
     p.add_argument("-o", "--output", default=None)
     _add_options(p, "--alpha", "--format", "--tol")
@@ -299,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-alpha", help="pipeline metrics over an alpha grid")
     p.add_argument("dag", help="DAG file")
-    p.add_argument("--completion", choices=("lex", "gci", "cr"), required=True)
-    p.add_argument("--weighting", choices=("em", "llsm"), required=True)
+    p.add_argument("--completion", choices=tuple(COMPLETIONS), required=True)
+    p.add_argument("--weighting", choices=tuple(WEIGHTINGS), required=True)
     p.add_argument("--alpha-min", type=float, default=1.1)
     p.add_argument("--alpha-max", type=float, default=10.0)
     p.add_argument("--step", type=float, default=0.1)

@@ -7,8 +7,8 @@
   pivots until a row certifies it, the triads that certificate prices
   freeze, and the run goes on from the same basis. Each stage's primal
   residual and duality gap are computed only when read;
-* GCI-optimal: missing entries filled with ratios of the incomplete
-  log-least-squares weights;
+* GCI-optimal: each missing log entry is y_i - y_j, for y the incomplete
+  log-least-squares log weights, so no weight is formed;
 * CR-optimal: missing entries minimize the dominant eigenvalue, found by
   damped Newton on the log of that eigenvalue, which is convex in the log
   entries; each point takes one eigendecomposition and one inverse, which
@@ -28,17 +28,17 @@ from .core import (
     IncompleteMatrix,
     TriadIndex,
     _perron,
+    _require_connected,
     _triad_table,
     saaty_lambda_max,
 )
 from .errors import (
     CompletionOverflowError,
     ConvergenceFailureError,
-    DisconnectedComparisonGraphError,
     NoBindingDualFoundError,
 )
 from .simplex import MAX_PIVOTS, PIVOT_TOL, RATIO_TIE_TOL
-from .weighting import _incomplete_llsm
+from .weighting import _llsm_logs
 
 OBJ_RTOL = 1e-9  # objective below this times max |const| counts as zero
 DUAL_TOL = 1e-9  # |triad dual| above this freezes it; absolute, as the active duals sum to -1
@@ -174,10 +174,7 @@ def build_lex_lp(a: IncompleteMatrix) -> LexLpState:
     Raises:
         DisconnectedComparisonGraphError: completion would not be unique.
     """
-    if not a.comparison_graph_connected():
-        raise DisconnectedComparisonGraphError(
-            "lexicographic completion needs a connected comparison graph"
-        )
+    _require_connected(a, "lexicographic completion")
     triads, idx = _triad_table(a.n)
     rows, cols = np.array(a.missing_pairs, dtype=np.intp).reshape(-1, 2).T
     m, n_triads = len(rows), len(triads)
@@ -326,6 +323,16 @@ def _fill_missing(base: np.ndarray, rows, cols, t) -> np.ndarray:
     return m
 
 
+def _check_log_range(t: np.ndarray, missing_pairs) -> None:
+    """Raise ``CompletionOverflowError``, naming the pair, if exp of some t would overflow."""
+    if not np.all(np.abs(t) <= _LOG_MAX):
+        e = int(np.argmax(np.abs(t)))
+        raise CompletionOverflowError(
+            f"completed log entry {t[e]:.6g} at pair {missing_pairs[e]} is beyond "
+            f"float64: exp of it or of its negative overflows (|log| > {_LOG_MAX:.6g})"
+        )
+
+
 def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[FreezeRecord]]:
     """Lexicographically optimal completion with its freeze audit.
 
@@ -377,13 +384,7 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
             break
         sol = solve_lp(state)
 
-    # checked before any exp, so an input beyond float64 fails by name, not by overflow
-    if not np.all(np.abs(sol.t) <= _LOG_MAX):
-        e = int(np.argmax(np.abs(sol.t)))
-        raise CompletionOverflowError(
-            f"completed log entry {sol.t[e]:.6g} at pair {state.missing_pairs[e]} is beyond "
-            f"float64: exp of it or of its negative overflows (|log| > {_LOG_MAX:.6g})"
-        )
+    _check_log_range(sol.t, state.missing_pairs)
     bounds = state.bound.tolist()
     top = max(order, key=bounds.__getitem__, default=None)  # the largest frozen bound
     if top is not None and bounds[top] > _LOG_MAX:
@@ -406,20 +407,25 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
     return CompleteMatrix._trusted(_fill_missing(a.entries, state.rows, state.cols, sol.t)), audit
 
 
+def _gci_logs(a: IncompleteMatrix, rows, cols) -> np.ndarray:
+    """The GCI completion's missing logs y[rows] - y[cols], checked by ``_check_log_range``."""
+    y = _llsm_logs(a)
+    t = y[rows] - y[cols]
+    _check_log_range(t, a.missing_pairs)
+    return t
+
+
 def gci_optimal_completion(a: IncompleteMatrix) -> CompleteMatrix:
-    """Fill each missing entry with the incomplete-LLSM weight ratio."""
-    if not a.comparison_graph_connected():
-        raise DisconnectedComparisonGraphError(
-            "GCI completion needs a connected comparison graph"
-        )
+    """Fill each missing entry with the incomplete-LLSM weight ratio, exp of its ``_gci_logs``.
+
+    Raises:
+        DisconnectedComparisonGraphError, CompletionOverflowError
+    """
+    _require_connected(a, "GCI completion")
     if a.is_complete:
         return a.to_complete()
-    w = _incomplete_llsm(a).w
     rows, cols = np.array(a.missing_pairs).T
-    values = a.entries.copy()
-    values[rows, cols] = w[rows] / w[cols]
-    values[cols, rows] = 1.0 / values[rows, cols]
-    return CompleteMatrix._trusted(values)
+    return CompleteMatrix._trusted(_fill_missing(a.entries, rows, cols, _gci_logs(a, rows, cols)))
 
 
 CR_GRAD_TOL = 1e-10  # stop once every |d log lambda_max / d log a_ij| is below
@@ -504,13 +510,12 @@ def cr_optimal_completion(
     eigendecomposition.
 
     Raises:
+        DisconnectedComparisonGraphError: completion would not be unique.
         ValueError: ``initial_logs`` is not one finite value per missing pair.
+        CompletionOverflowError: a GCI starting log entry is beyond float64.
         ConvergenceFailureError: ``CR_MAX_ITER`` steps taken first.
     """
-    if not a.comparison_graph_connected():
-        raise DisconnectedComparisonGraphError(
-            "CR completion needs a connected comparison graph"
-        )
+    _require_connected(a, "CR completion")
     if initial_logs is not None:
         initial_logs = np.asarray(initial_logs, dtype=float)
         shape = (len(a.missing_pairs),)
@@ -523,11 +528,7 @@ def cr_optimal_completion(
         complete = a.to_complete()
         return complete, saaty_lambda_max(complete)
     rows, cols = np.array(a.missing_pairs).T
-    if initial_logs is None:  # the GCI completion's missing logs
-        w = _incomplete_llsm(a).w
-        t = np.log(w[rows] / w[cols])
-    else:
-        t = initial_logs
+    t = _gci_logs(a, rows, cols) if initial_logs is None else initial_logs
     f, g, perron, m, hessian = _cr_point(a.entries, rows, cols, t)
     for _ in range(CR_MAX_ITER):
         if np.max(np.abs(g)) <= CR_GRAD_TOL:

@@ -20,6 +20,7 @@ from .errors import (
     AsymmetricMissingnessError,
     ConvergenceFailureError,
     DimensionMismatchError,
+    DisconnectedComparisonGraphError,
     MatrixTooSmallError,
     NonPositiveEntryError,
     NonSquareError,
@@ -192,6 +193,12 @@ class IncompleteMatrix:
         if not self.known[i, j]:
             return None
         return float(self.entries[i, j])
+
+
+def _require_connected(a: IncompleteMatrix, what: str) -> None:
+    """Raise ``DisconnectedComparisonGraphError``, naming ``what``, if a's graph is disconnected."""
+    if not a.comparison_graph_connected():
+        raise DisconnectedComparisonGraphError(f"{what} needs a connected comparison graph")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -32,40 +32,44 @@ from .core import (
 from .errors import PcmError
 from .fileio import dumps_matrix
 from .graph import PreferenceDag, dag_to_incomplete_matrix, random_cdag
-from .weighting import eigenvector_weights, incomplete_llsm_weights, llsm_weights
+from .weighting import eigenvector_weights, llsm_weights
 
-COMPLETION_METHODS = ("lex", "gci", "cr")
-WEIGHTING_METHODS = ("em", "llsm")
+# Lambdas, not the functions: each looks its function up by module-global
+# name when called, so a wrapper or patch installed under that name is used.
+COMPLETIONS = {
+    "lex": lambda a: lex_optimal_completion(a)[0],
+    "gci": lambda a: gci_optimal_completion(a),
+    "cr": lambda a: cr_optimal_completion(a)[0],
+}
+WEIGHTINGS = {
+    "em": lambda m: eigenvector_weights(m).weights,
+    "llsm": lambda m: llsm_weights(m),
+}
 THETA_PREFIX_LEN = 5  # largest triad inconsistencies kept in a report
 
 
-def _check_method(kind: str, method: str, known: tuple[str, ...]) -> None:
+def _check_method(kind: str, method: str, known: dict) -> None:
     if method not in known:
         raise ValueError(f"unknown {kind} method {method!r}")
 
 
-def _check_methods(completion: str, weighting: str) -> None:
-    """Reject an unknown method name before any completion runs."""
-    _check_method("completion", completion, COMPLETION_METHODS)
-    _check_method("weighting", weighting, WEIGHTING_METHODS)
+def _check_pipeline_args(completion: str, weighting: str, eq_tol: float) -> None:
+    """Reject an unknown method name or a bad ``eq_tol`` before any completion runs."""
+    _check_method("completion", completion, COMPLETIONS)
+    _check_method("weighting", weighting, WEIGHTINGS)
+    _check_eq_tol(eq_tol)
 
 
 def complete_matrix(a: IncompleteMatrix, method: str) -> CompleteMatrix:
     """Dispatch one completion method by name."""
-    _check_method("completion", method, COMPLETION_METHODS)
-    if method == "lex":
-        return lex_optimal_completion(a)[0]
-    if method == "gci":
-        return gci_optimal_completion(a)
-    return cr_optimal_completion(a)[0]
+    _check_method("completion", method, COMPLETIONS)
+    return COMPLETIONS[method](a)
 
 
 def derive_weights(m: CompleteMatrix, method: str) -> WeightVector:
     """Dispatch one weighting method by name."""
-    _check_method("weighting", method, WEIGHTING_METHODS)
-    if method == "em":
-        return eigenvector_weights(m).weights
-    return llsm_weights(m)
+    _check_method("weighting", method, WEIGHTINGS)
+    return WEIGHTINGS[method](m)
 
 
 @dataclass(frozen=True)
@@ -92,16 +96,13 @@ def run_pipeline(
     """Complete, weight, and audit one incomplete matrix.
 
     Raises:
-        ValueError: unknown completion or weighting method, before any work.
+        ValueError: unknown completion or weighting method, or an ``eq_tol``
+            that is not finite and >= 0, before any work.
     """
-    _check_methods(completion, weighting)
+    _check_pipeline_args(completion, weighting, eq_tol)
     start = time.perf_counter()
     full = complete_matrix(a, completion)
-    if weighting == "em":
-        eigen = eigenvector_weights(full)
-        w, lam = eigen.weights, eigen.lambda_max
-    else:
-        w, lam = derive_weights(full, weighting), saaty_lambda_max(full)
+    w, lam = derive_weights(full, weighting), saaty_lambda_max(full)  # EM shares the Perron pair
     violations = check_ordinal_violation(a, w, eq_tol=eq_tol)
     profile = inconsistency_profile(full) if full.n >= 3 else None
     max_ti = profile.max_ti if profile else 1.0
@@ -183,43 +184,28 @@ def verify_theorem1(
         trial_seed = int(rng.integers(0, 2**31 - 1))
         g = random_cdag(n, density, trial_seed)
         a = dag_to_incomplete_matrix(g, alpha)
+
+        def failure(weighting: str, violations: list, error: str | None) -> TrialFailure:
+            return TrialFailure(
+                trial, n, alpha, trial_seed, weighting, violations, error, dumps_matrix(a)
+            )
+
         try:
             full = complete_matrix(a, "lex")
         except PcmError as exc:
-            solver_failures.append(
-                TrialFailure(trial, n, alpha, trial_seed, "-", [], repr(exc), dumps_matrix(a))
-            )
+            solver_failures.append(failure("-", [], repr(exc)))
             continue
-        for weighting in WEIGHTING_METHODS:
+        for weighting in WEIGHTINGS:
             audits += 1
             try:
                 w = derive_weights(full, weighting)
             except PcmError as exc:
-                solver_failures.append(
-                    TrialFailure(
-                        trial, n, alpha, trial_seed, weighting, [], repr(exc), dumps_matrix(a)
-                    )
-                )
+                solver_failures.append(failure(weighting, [], repr(exc)))
                 continue
             violations = check_ordinal_violation(a, w)
             if violations:
-                violation_failures.append(
-                    TrialFailure(
-                        trial, n, alpha, trial_seed, weighting, violations, None, dumps_matrix(a)
-                    )
-                )
+                violation_failures.append(failure(weighting, violations, None))
     return Theorem1Summary(trials, audits, violation_failures, solver_failures)
-
-
-SWEEP_COLUMNS = (
-    "alpha",
-    "method_pair",
-    "n_violations",
-    "max_ti",
-    "ki",
-    "lambda_max",
-    "runtime_ms",
-)
 
 
 @dataclass(frozen=True)
@@ -235,20 +221,11 @@ class SweepRow:
     runtime_ms: float
 
     def as_csv(self) -> str:
-        def num(x: float) -> str:
-            return f"{x:.10g}"
+        """The row in ``SWEEP_COLUMNS`` order: text as is, numbers as ``:.10g``."""
+        return ",".join(v if isinstance(v, str) else f"{v:.10g}" for v in astuple(self))
 
-        return ",".join(
-            [
-                num(self.alpha),
-                self.method_pair,
-                str(self.n_violations),
-                num(self.max_ti),
-                num(self.ki),
-                num(self.lambda_max),
-                num(self.runtime_ms),
-            ]
-        )
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def alpha_grid(start: float = 1.1, stop: float = 10.0, step: float = 0.1) -> tuple[float, ...]:
@@ -281,8 +258,7 @@ def sweep_alpha(
         ValueError: unknown completion or weighting method, or an ``eq_tol``
             that is not finite and >= 0, before any alpha.
     """
-    _check_methods(completion, weighting)
-    _check_eq_tol(eq_tol)
+    _check_pipeline_args(completion, weighting, eq_tol)
     if alphas is None:
         alphas = alpha_grid()
     pair = f"{completion}+{weighting}"
@@ -291,22 +267,12 @@ def sweep_alpha(
         a = dag_to_incomplete_matrix(g, alpha)
         start = time.perf_counter()
         try:
-            report = run_pipeline(a, completion, weighting, eq_tol=eq_tol)
+            r = run_pipeline(a, completion, weighting, eq_tol=eq_tol)
         except PcmError:
             runtime_ms = (time.perf_counter() - start) * 1000.0
-            rows.append(
-                SweepRow(alpha, pair, -1, float("nan"), float("nan"), float("nan"), runtime_ms)
-            )
+            rows.append(SweepRow(alpha, pair, -1, math.nan, math.nan, math.nan, runtime_ms))
             continue
         rows.append(
-            SweepRow(
-                alpha,
-                pair,
-                len(report.violations),
-                report.max_ti,
-                report.ki,
-                report.lambda_max,
-                report.runtime_ms,
-            )
+            SweepRow(alpha, pair, len(r.violations), r.max_ti, r.ki, r.lambda_max, r.runtime_ms)
         )
     return rows

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompleteMatrix, IncompleteMatrix, WeightVector
-from .errors import DisconnectedComparisonGraphError
+from .core import CompleteMatrix, IncompleteMatrix, WeightVector, _require_connected
 
 
 @dataclass(frozen=True)
@@ -48,23 +47,24 @@ def incomplete_llsm_weights(a: IncompleteMatrix) -> WeightVector:
     """Log least squares weights restricted to the known pairs.
 
     Minimizes the squared log residuals sum over known (i, j) of
-    (log a_ij - log w_i + log w_j)^2 by solving the Laplacian system
-    L y = b of the comparison graph with the gauge y_0 = 0, where
-    b_i = sum of log a_ij over known neighbours j. The solution is unique
-    exactly when the comparison graph is connected.
+    (log a_ij - log w_i + log w_j)^2 in the log weights (``_llsm_logs``),
+    which are exponentiated last.
 
     Raises:
         DisconnectedComparisonGraphError: no unique solution exists.
     """
-    if not a.comparison_graph_connected():
-        raise DisconnectedComparisonGraphError(
-            "incomplete LLSM needs a connected comparison graph"
-        )
-    return _incomplete_llsm(a)
+    _require_connected(a, "incomplete LLSM")
+    y = _llsm_logs(a)
+    return WeightVector.from_raw(np.exp(y - y.max()))
 
 
-def _incomplete_llsm(a: IncompleteMatrix) -> WeightVector:
-    """``incomplete_llsm_weights`` for a caller that has checked connectivity."""
+def _llsm_logs(a: IncompleteMatrix) -> np.ndarray:
+    """The log weights y of ``incomplete_llsm_weights`` with the gauge y_0 = 0.
+
+    y solves L y = b, L the Laplacian of the comparison graph and b_i the
+    sum of log a_ij over known neighbours j: unique exactly when the graph
+    is connected, which the caller has checked.
+    """
     n = a.n
     off = a.known & ~np.eye(n, dtype=bool)
     lap = np.diag(off.sum(axis=1).astype(float)) - off.astype(float)
@@ -72,10 +72,7 @@ def _incomplete_llsm(a: IncompleteMatrix) -> WeightVector:
     logs[off] = np.log(a.entries[off])
     b = logs.sum(axis=1)
     # a connected graph's Laplacian less one row and column is nonsingular
-    y_rest = np.linalg.solve(lap[1:, 1:], b[1:])
-    y = np.concatenate(([0.0], y_rest))
-    w = np.exp(y - y.max())
-    return WeightVector.from_raw(w)
+    return np.concatenate(([0.0], np.linalg.solve(lap[1:, 1:], b[1:])))
 
 
 def lemma3_check(m: CompleteMatrix, i: int, j: int) -> bool:

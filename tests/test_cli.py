@@ -322,12 +322,14 @@ class TestMalformedInput:
         assert captured.out == ""
         assert captured.err.startswith("error: eq_tol")
 
-    def test_lex_overflow_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("completion", ["lex", "gci", "cr"])
+    def test_overflow_exit_2(self, tmp_path, completion):
         # alpha = 1e300 on a 6-vertex DAG completes log entries past 709:
-        # exp would overflow, and EM then failed with the solver-failure exit
+        # exp would overflow; lex+EM then failed with the solver-failure
+        # exit, and GCI and CR with "weights must be finite"
         g = tmp_path / "g.dag"
         g.write_text(run_cli("gen-dag", "6", "--seed", "1").stdout)
-        proc = run_cli("pipeline", str(g), "--completion", "lex", "--weighting", "em",
+        proc = run_cli("pipeline", str(g), "--completion", completion, "--weighting", "em",
                        "--alpha", "1e300")
         assert proc.returncode == 2
         assert "pair" in proc.stderr and "float64" in proc.stderr

@@ -391,11 +391,16 @@ class TestLexCompletion:
         # on the chain 0 > 1 > 2, a_02 = alpha^2: at alpha = 1e300 its log,
         # 1381.55, is beyond float64, so the fill would warn and return inf
         # (the warning would fail this test as an error)
+        # GCI and CR (whose start is the GCI fill) fail by the same check
         g = build_dag(3, [(0, 1), (1, 2)])
-        with pytest.raises(CompletionOverflowError, match=r"1381\.55.*pair \(0, 2\)"):
-            lex_optimal_completion(dag_to_incomplete_matrix(g, 1e300))
+        for complete in (lex_optimal_completion, gci_optimal_completion, cr_optimal_completion):
+            with pytest.raises(CompletionOverflowError, match=r"1381\.55.*pair \(0, 2\)"):
+                complete(dag_to_incomplete_matrix(g, 1e300))
         assert issubclass(CompletionOverflowError, InvalidInputError)
         m, _ = lex_optimal_completion(dag_to_incomplete_matrix(g, 1e150))
+        assert m[0, 2] == pytest.approx(1e300, rel=1e-9)
+        assert m[2, 0] == pytest.approx(1e-300, rel=1e-9)
+        m = gci_optimal_completion(dag_to_incomplete_matrix(g, 1e150))
         assert m[0, 2] == pytest.approx(1e300, rel=1e-9)
         assert m[2, 0] == pytest.approx(1e-300, rel=1e-9)
 
@@ -688,6 +693,29 @@ class TestGciCompletion:
         for i in range(6):
             for j in range(i + 1, 6):
                 assert g.entries[j, i] == 1.0 / g.entries[i, j]
+
+    def test_relabel_equivariant(self, fig2_dag):
+        rng = np.random.default_rng(53)
+        fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (2.0, 9.0)]
+        for a in [*(random_incomplete(int(rng.integers(4, 8)), 3, rng) for _ in range(6)), *fig2]:
+            perm = rng.permutation(a.n)
+            inv = np.argsort(perm)
+            logs = np.log(gci_optimal_completion(a).entries)
+            relabelled = gci_optimal_completion(_permuted(a, perm))
+            assert np.max(np.abs(np.log(relabelled.entries) - logs[np.ix_(inv, inv)])) <= 1e-12
+
+    def test_dag_exponents_alpha_invariant(self, fig2_dag):
+        # every known log entry is +/- log alpha, so the least-squares logs
+        # scale with it: log g / log alpha is one exponent matrix for all alpha
+        cdags = [random_cdag(n, density, seed) for n, density, seed in [(6, 0.5, 1), (8, 0.3, 2)]]
+        for g in [fig2_dag, *cdags, random_cdag(12, 0.4, 3)]:
+            exponents = [
+                np.log(gci_optimal_completion(dag_to_incomplete_matrix(g, alpha)).entries)
+                / math.log(alpha)
+                for alpha in (1.5, 5.0, 9.0)
+            ]
+            for e in exponents[1:]:
+                assert np.max(np.abs(e - exponents[0])) <= 1e-12
 
 
 def _assert_matches_highs(a):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,15 +45,22 @@ class TestPipeline:
             run_pipeline(a, "nope", "em")
 
     @pytest.mark.parametrize(
-        "completion,weighting,message",
+        "completion,weighting,eq_tol,message",
         [
-            ("lex", "bogus", "unknown weighting method 'bogus'"),
-            ("cr", "bogus", "unknown weighting method 'bogus'"),
-            ("nope", "em", "unknown completion method 'nope'"),
+            ("lex", "bogus", 1e-9, "unknown weighting method 'bogus'"),
+            ("cr", "bogus", 1e-9, "unknown weighting method 'bogus'"),
+            ("nope", "em", 1e-9, "unknown completion method 'nope'"),
+            ("cr", "em", math.nan, "eq_tol must be finite"),
+        ],
+        ids=[
+            "lex-bogus-unknown weighting method 'bogus'",
+            "cr-bogus-unknown weighting method 'bogus'",
+            "nope-em-unknown completion method 'nope'",
+            "cr-em-eq_tol nan",
         ],
     )
     def test_method_names_checked_before_completion(
-        self, monkeypatch, fig2_dag, completion, weighting, message
+        self, monkeypatch, fig2_dag, completion, weighting, eq_tol, message
     ):
         calls = []
 
@@ -63,11 +72,11 @@ class TestPipeline:
             monkeypatch.setattr(harness, name, never)
         a = dag_to_incomplete_matrix(fig2_dag, 2.0)
         with pytest.raises(ValueError, match=message):
-            run_pipeline(a, completion, weighting)
+            run_pipeline(a, completion, weighting, eq_tol=eq_tol)
         with pytest.raises(ValueError, match=message):
-            sweep_alpha(fig2_dag, completion, weighting, alphas=(2.0, 3.0))
+            sweep_alpha(fig2_dag, completion, weighting, alphas=(2.0, 3.0), eq_tol=eq_tol)
         with pytest.raises(ValueError, match=message):
-            sweep_alpha(fig2_dag, completion, weighting, alphas=())
+            sweep_alpha(fig2_dag, completion, weighting, alphas=(), eq_tol=eq_tol)
         assert calls == []
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pcmlex
+import pcmlex.harness as harness
 from pcmlex.simplex import SimplexResult, solve_simplex
 from pcmlex.weighting import EigenResult, eigenvector_weights
 
@@ -43,6 +44,38 @@ def test_eigen_surface_read_by_the_tracer():
     assert list(inspect.signature(eigenvector_weights).parameters) == ["m"]
     assert "iterations" in EigenResult.__dataclass_fields__
     assert eigenvector_weights(pcmlex.ratio_matrix([1.0, 2.0, 4.0])).iterations == 1
+
+
+@pytest.mark.parametrize("completion", ["lex", "gci", "cr"])
+@pytest.mark.parametrize("weighting", ["em", "llsm"])
+def test_pipeline_calls_each_method_by_its_module_name(monkeypatch, completion, weighting):
+    # the tracer swaps these harness globals and the sweep workload patches
+    # harness.lex_optimal_completion: a stored function object would bypass both
+    names = {
+        "lex": "lex_optimal_completion",
+        "gci": "gci_optimal_completion",
+        "cr": "cr_optimal_completion",
+        "em": "eigenvector_weights",
+        "llsm": "llsm_weights",
+    }
+    calls = dict.fromkeys(names.values(), 0)
+
+    def counting(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names.values():
+        monkeypatch.setattr(harness, name, counting(name))
+    g = pcmlex.build_dag(4, [(0, 1), (1, 2), (1, 3)])
+    harness.run_pipeline(pcmlex.dag_to_incomplete_matrix(g, 3.0), completion, weighting)
+    expected = dict.fromkeys(names.values(), 0)
+    expected[names[completion]] = expected[names[weighting]] = 1
+    assert calls == expected
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))
