@@ -30,6 +30,7 @@ from .core import (
     _perron,
     _require_connected,
     _triad_table,
+    _with_pairs,
     saaty_lambda_max,
 )
 from .errors import (
@@ -176,7 +177,7 @@ def build_lex_lp(a: IncompleteMatrix) -> LexLpState:
     """
     _require_connected(a, "lexicographic completion")
     triads, idx = _triad_table(a.n)
-    rows, cols = np.array(a.missing_pairs, dtype=np.intp).reshape(-1, 2).T
+    rows, cols = a._missing_index
     m, n_triads = len(rows), len(triads)
     var = np.full((a.n, a.n), m)  # a known pair points at the sentinel column m
     var[rows, cols] = np.arange(m)
@@ -315,14 +316,6 @@ def solve_lp(state: LexLpState) -> LpSolution:
     )
 
 
-def _fill_missing(base: np.ndarray, rows, cols, t) -> np.ndarray:
-    """Copy of ``base`` with exp(t) at (rows, cols) and the reciprocals at (cols, rows)."""
-    m = base.copy()
-    m[rows, cols] = np.exp(t)
-    m[cols, rows] = 1.0 / m[rows, cols]
-    return m
-
-
 def _check_log_range(t: np.ndarray, missing_pairs) -> None:
     """Raise ``CompletionOverflowError``, naming the pair, if exp of some t would overflow."""
     if not np.all(np.abs(t) <= _LOG_MAX):
@@ -404,7 +397,8 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
         FreezeRecord(state.triads[p], math.exp(bounds[p]), stage)
         for stage, p in enumerate(canonical, 1)
     ]
-    return CompleteMatrix._trusted(_fill_missing(a.entries, state.rows, state.cols, sol.t)), audit
+    filled = _with_pairs(a.entries, state.rows, state.cols, np.exp(sol.t))
+    return CompleteMatrix._trusted(filled), audit
 
 
 def _gci_logs(a: IncompleteMatrix, rows, cols) -> np.ndarray:
@@ -424,8 +418,9 @@ def gci_optimal_completion(a: IncompleteMatrix) -> CompleteMatrix:
     _require_connected(a, "GCI completion")
     if a.is_complete:
         return a.to_complete()
-    rows, cols = np.array(a.missing_pairs).T
-    return CompleteMatrix._trusted(_fill_missing(a.entries, rows, cols, _gci_logs(a, rows, cols)))
+    rows, cols = a._missing_index
+    t = _gci_logs(a, rows, cols)
+    return CompleteMatrix._trusted(_with_pairs(a.entries, rows, cols, np.exp(t)))
 
 
 CR_GRAD_TOL = 1e-10  # stop once every |d log lambda_max / d log a_ij| is below
@@ -463,7 +458,7 @@ def _cr_point(base: np.ndarray, rows, cols, t: np.ndarray):
     ``hessian()`` assembles that of log lambda, H_lambda / lambda - g g^T,
     on demand.
     """
-    m = _fill_missing(base, rows, cols, t)
+    m = _with_pairs(base, rows, cols, np.exp(t))
     v, lam = perron = _perron(m)
     u, n_inv = _left_perron(m, v, lam)
     n = len(v)
@@ -527,7 +522,7 @@ def cr_optimal_completion(
     if a.is_complete:
         complete = a.to_complete()
         return complete, saaty_lambda_max(complete)
-    rows, cols = np.array(a.missing_pairs).T
+    rows, cols = a._missing_index
     t = _gci_logs(a, rows, cols) if initial_logs is None else initial_logs
     f, g, perron, m, hessian = _cr_point(a.entries, rows, cols, t)
     for _ in range(CR_MAX_ITER):

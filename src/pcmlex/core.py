@@ -3,7 +3,7 @@
 Matrices are reciprocal (a_ji = 1/a_ij) positive square matrices; incomplete
 ones carry a symmetric mask of missing off-diagonal entries. Indices are
 0-based throughout the library; file formats and CLI output use 1-based
-labels.
+labels. ``_with_pairs`` is the package's only writer of a reciprocal a_ji.
 """
 
 from __future__ import annotations
@@ -82,22 +82,26 @@ def _components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     return comps
 
 
-def _upper_pairs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """The (i, j) with i < j where ``mask`` holds, in row-major order."""
-    i, j = np.nonzero(np.triu(mask, 1))
-    return tuple(zip(i.tolist(), j.tolist()))
+def _upper_index(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rows, cols) of the (i, j) with i < j where ``mask`` holds, in row-major order."""
+    rows, cols = np.nonzero(np.triu(mask, 1))
+    return _freeze(rows), _freeze(cols)
 
 
-def _canonical_reciprocal(values: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """Rebuild the lower triangle as 1/upper so reciprocity is exact."""
-    n = values.shape[0]
-    out = np.full((n, n), np.nan)
-    np.fill_diagonal(out, 1.0)
-    i, j = np.nonzero(np.triu(known, 1))
-    upper = values[i, j]
-    out[i, j] = upper
-    out[j, i] = 1.0 / upper
+def _with_pairs(base: np.ndarray, rows, cols, upper) -> np.ndarray:
+    """Copy of ``base`` with ``upper`` at (rows, cols) and its reciprocals at (cols, rows)."""
+    out = base.copy()
+    out[rows, cols] = upper
+    out[cols, rows] = 1.0 / out[rows, cols]
     return out
+
+
+def _canonical_reciprocal(values: np.ndarray, known: np.ndarray) -> IncompleteMatrix:
+    """The matrix of ``values`` where ``known``, its lower triangle rebuilt as 1/upper."""
+    rows, cols = _upper_index(known)
+    base = np.where(np.eye(len(values), dtype=bool), 1.0, np.nan)
+    out = _with_pairs(base, rows, cols, values[rows, cols])
+    return IncompleteMatrix(len(values), _freeze(out), _freeze(known))
 
 
 @dataclass(frozen=True)
@@ -168,14 +172,19 @@ class IncompleteMatrix:
         return bool(self.known.all())
 
     @cached_property  # ``known`` is read-only, so computed once per matrix
+    def _missing_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (rows, cols) arrays of ``missing_pairs``, in its order."""
+        return _upper_index(~self.known)
+
+    @cached_property
     def missing_pairs(self) -> tuple[tuple[int, int], ...]:
         """Missing (i, j) pairs with i < j, lexicographically sorted."""
-        return _upper_pairs(~self.known)
+        return tuple(zip(*(x.tolist() for x in self._missing_index)))
 
     @cached_property
     def known_pairs(self) -> tuple[tuple[int, int], ...]:
         """Known off-diagonal (i, j) pairs with i < j, lexicographically sorted."""
-        return _upper_pairs(self.known)
+        return tuple(zip(*(x.tolist() for x in _upper_index(self.known))))
 
     def comparison_graph_connected(self) -> bool:
         """True iff the undirected graph of known pairs is connected."""
@@ -306,8 +315,7 @@ def validate_reciprocal(raw) -> IncompleteMatrix:
             deviation=dev[k],
         )
 
-    canon = _canonical_reciprocal(values, known)
-    return IncompleteMatrix(n, _freeze(canon), _freeze(known))
+    return _canonical_reciprocal(values, known)
 
 
 def ratio_matrix(v: Sequence[float] | np.ndarray) -> CompleteMatrix:
@@ -401,7 +409,7 @@ class OrdinalViolation:
     value: float  # the stated a_ij
     w_i: float
     w_j: float
-    kind: str  # "strict" (a_ij > 1 but w_i <= w_j) or "equality" (a_ij = 1, w_i != w_j)
+    kind: str  # "strict" (a_ij > 1, w_i not above w_j) or "equality" (a_ij = 1, w_i != w_j)
 
 
 def _check_eq_tol(eq_tol: float) -> None:
@@ -417,10 +425,11 @@ def check_ordinal_violation(
 ) -> list[OrdinalViolation]:
     """Every known pair whose weight order contradicts the stated preference.
 
-    A strict violation is a known a_ij > 1 with w_i <= w_j. An equality
-    violation is a known a_ij = 1 (within a 1e-9 window, since float inputs
-    are never exactly 1) whose weights differ by more than
-    ``eq_tol * max(w_i, w_j)``. An empty list means no ordinal violation.
+    A strict violation is a known a_ij > 1 (outside the 1e-9 equality
+    window) whose w_i exceeds w_j by at most ``eq_tol * max(w_i, w_j)``,
+    as weights that close count as equal. An equality violation is a known
+    a_ij = 1 (within that window, since float inputs are never exactly 1)
+    whose weights differ by more than that. An empty list means none.
 
     Raises:
         ValueError: ``eq_tol`` is not finite and >= 0.
@@ -435,7 +444,7 @@ def check_ordinal_violation(
     v, wi, wj = a.entries[i, j], wv.w[i], wv.w[j]
     tie = np.abs(v - 1.0) <= EQUALITY_WINDOW
     equality = tie & (i < j) & (np.abs(wi - wj) > eq_tol * np.maximum(wi, wj))
-    strict = ~tie & (i != j) & (v > 1.0) & (wi <= wj)
+    strict = ~tie & (v > 1.0) & (wi - wj <= eq_tol * np.maximum(wi, wj))
     return [
         OrdinalViolation(
             int(i[k]), int(j[k]), float(v[k]), wi[k], wj[k],

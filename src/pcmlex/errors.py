@@ -78,7 +78,7 @@ class DisconnectedComparisonGraphError(PcmError):
 
 
 class CompletionOverflowError(InvalidInputError):
-    """A completed entry, its reciprocal or a frozen triad's TI is beyond float64."""
+    """A completed entry, its reciprocal, a frozen triad's TI or a derived weight leaves float64."""
 
 
 # -- solvers ----------------------------------------------------------------

@@ -9,7 +9,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import CompleteMatrix, IncompleteMatrix, _canonical_reciprocal, _components, _freeze
+from .core import CompleteMatrix, IncompleteMatrix, _canonical_reciprocal, _components, _with_pairs
 from .errors import (
     AlphaNotGreaterThanOneError,
     BidirectionalArcError,
@@ -35,43 +35,14 @@ class PreferenceDag:
         return tuple(sorted(self.arcs))
 
 
-def _find_cycle(n: int, succ: list[list[int]]) -> list[int]:
-    """One directed cycle, as a vertex list, in a graph known to have one."""
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    parent: dict[int, int] = {}
-
-    def dfs(u: int) -> list[int] | None:
-        color[u] = 1
-        for v in succ[u]:
-            if color[v] == 1:
-                cycle = [v, u]
-                w = u
-                while w != v:
-                    w = parent[w]
-                    cycle.append(w)
-                cycle.pop()  # drop the duplicated start
-                return cycle[::-1]
-            if color[v] == 0:
-                parent[v] = u
-                found = dfs(v)
-                if found is not None:
-                    return found
-        color[u] = 2
-        return None
-
-    for s in range(n):
-        if color[s] == 0:
-            found = dfs(s)
-            if found is not None:
-                return found
-    raise AssertionError("no cycle found in a cyclic graph")
-
-
 def build_dag(n: int, arcs: Iterable[tuple[int, int]]) -> PreferenceDag:
     """Validate (n, arcs) as a connected DAG and fix its topological order.
 
     Raises:
-        CycleDetectedError: with one witnessing cycle.
+        CycleDetectedError: with one witnessing cycle. Every vertex that
+            Kahn's pass leaves has a left-over predecessor; walking those
+            back from the smallest left-over vertex must repeat one, and the
+            repeated stretch, reversed, is the witness.
         DisconnectedError: with the weakly connected components.
         BidirectionalArcError: if some pair appears in both directions.
     """
@@ -105,7 +76,12 @@ def build_dag(n: int, arcs: Iterable[tuple[int, int]]) -> PreferenceDag:
             if indeg[v] == 0:
                 heapq.heappush(ready, v)
     if len(order) < n:
-        cycle = _find_cycle(n, succ)
+        pred = {j: i for i, j in sorted(arc_set) if indeg[i] and indeg[j]}  # left-over arcs
+        walk, seen = [min(pred)], set()
+        while walk[-1] not in seen:
+            seen.add(walk[-1])
+            walk.append(pred[walk[-1]])
+        cycle = walk[walk.index(walk[-1]) + 1 :][::-1]
         raise CycleDetectedError(
             f"directed cycle {' -> '.join(map(str, cycle + cycle[:1]))}", cycle=cycle
         )
@@ -146,16 +122,9 @@ def _check_alpha(alpha: float) -> None:
 def dag_to_incomplete_matrix(g: PreferenceDag, alpha: float) -> IncompleteMatrix:
     """Incomplete matrix with a_ij = alpha per arc (i, j), others missing."""
     _check_alpha(alpha)
-    n = g.n
-    values = np.full((n, n), np.nan)
-    known = np.eye(n, dtype=bool)
-    np.fill_diagonal(values, 1.0)
-    for i, j in g.arcs:
-        values[i, j] = alpha
-        values[j, i] = 1.0 / alpha
-        known[i, j] = known[j, i] = True
-    canon = _canonical_reciprocal(values, known)
-    return IncompleteMatrix(n, _freeze(canon), _freeze(known))
+    tails, heads = np.array(g.sorted_arcs, dtype=np.intp).reshape(-1, 2).T
+    values = _with_pairs(np.eye(g.n), tails, heads, alpha)
+    return _canonical_reciprocal(values, values > 0)
 
 
 def transitive_closure_matrix(g: PreferenceDag, alpha: float) -> CompleteMatrix:
@@ -166,13 +135,8 @@ def transitive_closure_matrix(g: PreferenceDag, alpha: float) -> CompleteMatrix:
     """
     _check_alpha(alpha)
     n = g.n
-    reach = _reach_matrix(g)
-    c = np.ones((n, n))
-    c[reach] = alpha
-    c[reach.T] = 1.0 / alpha
-    np.fill_diagonal(c, 1.0)
-    known = np.ones((n, n), dtype=bool)
-    return CompleteMatrix._trusted(_canonical_reciprocal(c, known))
+    c = _with_pairs(np.ones((n, n)), *np.nonzero(_reach_matrix(g)), alpha)
+    return _canonical_reciprocal(c, np.ones((n, n), dtype=bool)).to_complete()
 
 
 def random_cdag(n: int, arc_density: float, seed: int) -> PreferenceDag:

@@ -7,6 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CompleteMatrix, IncompleteMatrix, WeightVector, _require_connected
+from .errors import CompletionOverflowError
+
+_LOG_WEIGHT_MIN = np.log(np.finfo(float).smallest_subnormal)  # -744.44; exp of less underflows
 
 
 @dataclass(frozen=True)
@@ -36,11 +39,8 @@ def eigenvector_weights(m: CompleteMatrix) -> EigenResult:
 
 
 def llsm_weights(m: CompleteMatrix) -> WeightVector:
-    """Row geometric means, normalized to sum 1 (computed in log space)."""
-    logs = np.log(m.entries)
-    y = logs.mean(axis=1)
-    w = np.exp(y - y.max())
-    return WeightVector.from_raw(w)
+    """Row geometric means, normalized to sum 1 (in log space, through ``_weights_from_logs``)."""
+    return _weights_from_logs(np.log(m.entries).mean(axis=1))
 
 
 def incomplete_llsm_weights(a: IncompleteMatrix) -> WeightVector:
@@ -52,10 +52,22 @@ def incomplete_llsm_weights(a: IncompleteMatrix) -> WeightVector:
 
     Raises:
         DisconnectedComparisonGraphError: no unique solution exists.
+        CompletionOverflowError: the smallest weight underflows to 0.
     """
     _require_connected(a, "incomplete LLSM")
-    y = _llsm_logs(a)
-    return WeightVector.from_raw(np.exp(y - y.max()))
+    return _weights_from_logs(_llsm_logs(a))
+
+
+def _weights_from_logs(y: np.ndarray) -> WeightVector:
+    """exp(y - max y), normalized; ``CompletionOverflowError`` if its smallest underflows."""
+    w = np.exp(y - y.max())
+    spread = float(np.ptp(y))
+    if -spread - np.log(w.sum()) < _LOG_WEIGHT_MIN:  # log of the smallest normalized weight
+        raise CompletionOverflowError(
+            f"log weights spread over {spread:.6g}: the smallest weight, normalized, "
+            f"underflows float64 (its log is below {_LOG_WEIGHT_MIN:.6g})"
+        )
+    return WeightVector.from_raw(w)
 
 
 def _llsm_logs(a: IncompleteMatrix) -> np.ndarray:

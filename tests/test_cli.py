@@ -110,6 +110,17 @@ class TestWeights:
     def test_dag_without_alpha_exit_2(self, fig2_file):
         assert main(["weights", fig2_file, "--method", "llsm"]) == 2
 
+    @pytest.mark.parametrize("alpha", ["1e200", "1e300"])
+    def test_underflowing_weight_exit_2(self, tmp_path, alpha):
+        # the log weights spread past 744, so the smallest weight is exp of
+        # less than the log of the smallest subnormal: it underflows to 0
+        g = tmp_path / "g.dag"
+        g.write_text(run_cli("gen-dag", "6", "--seed", "1").stdout)
+        proc = run_cli("weights", str(g), "--method", "llsm", "--alpha", alpha)
+        assert proc.returncode == 2
+        assert "underflow" in proc.stderr
+        assert "Warning" not in proc.stderr
+
 
 class TestCheckViolations:
     def test_with_weight_file(self, tmp_path, capsys):
@@ -334,6 +345,16 @@ class TestMalformedInput:
         assert proc.returncode == 2
         assert "pair" in proc.stderr and "float64" in proc.stderr
         assert "Warning" not in proc.stderr
+
+    def test_long_cycle_exit_2(self, tmp_path):
+        # a 1,500-vertex cycle must fail as bad input, not with a RecursionError
+        f = tmp_path / "cycle.dag"
+        f.write_text("1500\n" + "".join(f"{v + 1} {(v + 1) % 1500 + 1}\n" for v in range(1500)))
+        proc = run_cli("pipeline", str(f), "--completion", "lex", "--weighting", "em",
+                       "--alpha", "2")
+        assert proc.returncode == 2
+        assert "directed cycle" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_infinite_alpha_exit_2(self, fig2_file):
         proc = run_cli("pipeline", fig2_file, "--completion", "lex", "--weighting", "em",

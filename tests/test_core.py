@@ -11,7 +11,10 @@ from pcmlex import (
     IncompleteMatrix,
     TriadIndex,
     WeightVector,
+    build_dag,
     check_ordinal_violation,
+    dag_to_incomplete_matrix,
+    gci_optimal_completion,
     inconsistency_profile,
     is_consistent,
     koczkodaj_ki,
@@ -479,13 +482,26 @@ class TestOrdinalViolation:
                     if abs(v - 1.0) <= window:
                         if i < j and abs(wv[i] - wv[j]) > eq_tol * max(wv[i], wv[j]):
                             expected.append(OrdinalViolation(i, j, v, wv[i], wv[j], "equality"))
-                    elif v > 1.0 and wv[i] <= wv[j]:
+                    elif v > 1.0 and wv[i] - wv[j] <= eq_tol * max(wv[i], wv[j]):
                         expected.append(OrdinalViolation(i, j, v, wv[i], wv[j], "strict"))
             got = check_ordinal_violation(a, w, eq_tol=eq_tol)
             assert got == expected
             assert [type(x.i) for x in got] == [int] * len(got)
             count += len(got)
         assert count > 100
+
+    @pytest.mark.parametrize("alpha", [2.0, 5.0, 9.0])
+    def test_exact_tie_is_strict_under_relabelling(self, alpha):
+        # GCI+LLSM weighs 3 and 4 equally here, up to a rounding gap of about
+        # 1e-16 whose sign follows the labels: a bare w_3 <= w_4 test would
+        # report the arc 3 -> 4 on some relabellings only
+        arcs = [(0, 1), (0, 2), (0, 5), (0, 6), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6)]
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            p = rng.permutation(7).tolist()
+            a = dag_to_incomplete_matrix(build_dag(7, [(p[i], p[j]) for i, j in arcs]), alpha)
+            out = check_ordinal_violation(a, llsm_weights(gci_optimal_completion(a)))
+            assert [(v.i, v.j, v.kind) for v in out] == [(p[3], p[4], "strict")]
 
     def test_missing_pairs_are_ignored(self, example2):
         # only known pairs can violate; (0,2) and (0,3) never appear

@@ -37,6 +37,49 @@ class TestBuildDag:
             build_dag(3, [(0, 1), (1, 2), (2, 0)])
         assert sorted(err.value.cycle) == [0, 1, 2]
 
+    def test_long_cycle_witness(self):
+        # the witness search must not recurse: 1,500 frames pass Python's limit
+        n = 1500
+        with pytest.raises(CycleDetectedError, match="directed cycle") as err:
+            build_dag(n, [(v, (v + 1) % n) for v in range(n)])
+        assert len(err.value.cycle) == n
+
+    @pytest.mark.parametrize(
+        "n, arcs",
+        [
+            (1500, [(v, (v + 1) % 1500) for v in range(1500)]),
+            (5, [(0, 1), (1, 2), (2, 3), (3, 1), (0, 4)]),
+        ],
+        ids=["cycle-1500", "tail-into-cycle"],
+    )
+    def test_witness_is_a_directed_cycle(self, n, arcs):
+        with pytest.raises(CycleDetectedError) as err:
+            build_dag(n, arcs)
+        cycle = err.value.cycle
+        assert len(set(cycle)) == len(cycle)
+        assert set(zip(cycle, cycle[1:] + cycle[:1])) <= set(arcs)
+
+    def test_random_witnesses_are_directed_cycles(self):
+        rng = np.random.default_rng(41)
+        found = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 12))
+            arcs = {
+                (i, j) if rng.random() < 0.8 else (j, i)
+                for i, j in itertools.combinations(range(n), 2)
+                if rng.random() < 0.4
+            }
+            try:
+                build_dag(n, arcs)
+            except CycleDetectedError as err:
+                cycle = err.cycle
+                assert len(set(cycle)) == len(cycle) >= 2
+                assert set(zip(cycle, cycle[1:] + cycle[:1])) <= arcs
+                found += 1
+            except DisconnectedError:
+                pass
+        assert found > 50
+
     def test_self_loop_is_a_cycle(self):
         with pytest.raises(CycleDetectedError):
             build_dag(3, [(0, 0), (0, 1), (1, 2)])

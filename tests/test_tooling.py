@@ -33,6 +33,22 @@ def test_every_traced_name_resolves():
         assert callable(getattr(importlib.import_module(f"pcmlex.{module}"), name)), (module, name)
 
 
+def test_import_pcmlex_registers_every_traced_module():
+    # tracing.install reads sys.modules[f"pcmlex.{module}"] after importing
+    # pcmlex alone, so every traced module must be imported by the package
+    traced = {f"pcmlex.{module}" for module, _ in _load_tracing().TRACED.values()}
+    src = str(Path(pcmlex.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pcmlex; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert traced - set(proc.stdout.split()) == set()
+
+
 def test_simplex_surface_read_by_the_tracer():
     # the tracer counts result.iterations and len(args[1]), the rows of A
     assert list(inspect.signature(solve_simplex).parameters) == ["c", "A", "b"]

@@ -3,6 +3,7 @@ import pytest
 
 from pcmlex import (
     CompleteMatrix,
+    build_dag,
     cr_optimal_completion,
     dag_to_incomplete_matrix,
     eigenvector_weights,
@@ -15,7 +16,11 @@ from pcmlex import (
     validate_reciprocal,
 )
 from pcmlex.core import _perron
-from pcmlex.errors import ConvergenceFailureError, DisconnectedComparisonGraphError
+from pcmlex.errors import (
+    CompletionOverflowError,
+    ConvergenceFailureError,
+    DisconnectedComparisonGraphError,
+)
 
 from conftest import random_incomplete, random_reciprocal, random_tree_matrix
 from oracles import perron_root_batch, power_iteration_reference
@@ -138,7 +143,38 @@ class TestLlsm:
                 assert log_residual_objective(m.entries, known, bumped) > f0
 
 
+    @staticmethod
+    def _upper_chain(x: float) -> CompleteMatrix:
+        # a_01 = a_02 = a_12 = x: log row means 2L/3, 0, -2L/3 for L = log x
+        return CompleteMatrix.from_array([[1, x, x], [1 / x, 1, x], [1 / x, 1 / x, 1]])
+
+    def test_underflowing_weight_raises(self):
+        # at x = 1e300 the log weights spread over 4L/3 = 921: exp(-921) is 0
+        with pytest.raises(CompletionOverflowError, match="underflow"):
+            llsm_weights(self._upper_chain(1e300))
+
+    def test_spread_just_under_the_limit_is_positive(self):
+        w = llsm_weights(self._upper_chain(np.exp(0.75 * 743.9))).w
+        assert np.all(w > 0)
+        assert w[2] < 1e-300
+
+
 class TestIncompleteLlsm:
+    def test_underflowing_weight_raises(self):
+        # the chain 0 > 1 > 2 at a = 1e300 has log weights 0, -L, -2L: spread 1381
+        x = 1e300
+        a = validate_reciprocal([[1, x, None], [1 / x, 1, x], [None, 1 / x, 1]])
+        with pytest.raises(CompletionOverflowError, match="underflow"):
+            incomplete_llsm_weights(a)
+
+    def test_normalization_underflow_raises(self):
+        # five ties above 5 above 6, log gaps 372.15 each: the spread 744.3 keeps
+        # exp(-744.3) > 0, but dividing it by the sum 5 gives w_6 = 0
+        g = build_dag(7, [(0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (5, 6)])
+        a = dag_to_incomplete_matrix(g, float(np.exp(372.15)))
+        with pytest.raises(CompletionOverflowError, match="underflow"):
+            incomplete_llsm_weights(a)
+
     def test_reduces_to_llsm_on_complete(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
