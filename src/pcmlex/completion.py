@@ -27,23 +27,21 @@ from .core import (
     CompleteMatrix,
     IncompleteMatrix,
     TriadIndex,
+    _cycle_sums,
+    _exp_logs,
+    _exp_tis,
     _perron,
     _require_connected,
     _triad_table,
     _with_pairs,
     saaty_lambda_max,
 )
-from .errors import (
-    CompletionOverflowError,
-    ConvergenceFailureError,
-    NoBindingDualFoundError,
-)
+from .errors import ConvergenceFailureError, NoBindingDualFoundError
 from .simplex import MAX_PIVOTS, PIVOT_TOL, RATIO_TIE_TOL
 from .weighting import _llsm_logs
 
 OBJ_RTOL = 1e-9  # objective below this times max |const| counts as zero
 DUAL_TOL = 1e-9  # |triad dual| above this freezes it; absolute, as the active duals sum to -1
-_LOG_MAX = math.log(np.finfo(float).max)  # exp(t) and 1 / exp(t) are finite and nonzero for |t| <= this
 
 
 @dataclass
@@ -72,15 +70,12 @@ class LexLpState:
     reached; ``pivots`` and ``stages`` count pivots and certificates.
     """
 
-    missing_pairs: tuple[tuple[int, int], ...]
-    rows: np.ndarray  # (m,) row index of each missing pair, missing_pairs order
-    cols: np.ndarray  # (m,) column index of each missing pair
     triads: tuple[TriadIndex, ...]
     coef: np.ndarray  # (T, m) coefficients of cycle sums on log variables
     const: np.ndarray  # (T,) known part of each cycle sum (natural log)
     scale: float  # max |const|: z0, the level at t = 0, so an upper bound on every stage's
     bound: np.ndarray  # (T,) frozen bound on |cycle sum|, NaN while active
-    t: np.ndarray  # (m,) log values reached by the run
+    t: np.ndarray  # (m,) log values reached by the run, in the matrix's missing_pairs order
     tab: np.ndarray  # (2T, m + 2) condensed tableau: nonbasic columns, value, rate
     basic: np.ndarray  # (2T,) label of each row's basic variable
     nonbasic: np.ndarray  # (m,) label of each nonbasic column
@@ -181,10 +176,7 @@ def build_lex_lp(a: IncompleteMatrix) -> LexLpState:
     m, n_triads = len(rows), len(triads)
     var = np.full((a.n, a.n), m)  # a known pair points at the sentinel column m
     var[rows, cols] = np.arange(m)
-    i, j, k = idx.T
-    # cycle sum log a_ij + log a_jk + log a_ki, with log a_ki = -log a_ik
-    logs = np.log(np.where(a.known, a.entries, 1.0))
-    const = logs[i, j] + logs[j, k] - logs[i, k]
+    const = _cycle_sums(np.log(np.where(a.known, a.entries, 1.0)), idx)
     coef = np.zeros((n_triads, m + 1))
     pairs = var[idx[:, [0, 1, 0]], idx[:, [1, 2, 2]]]  # (T, 3): the variables of ij, jk, ik
     coef[np.arange(n_triads)[:, None], pairs] = (1.0, 1.0, -1.0)
@@ -197,9 +189,6 @@ def build_lex_lp(a: IncompleteMatrix) -> LexLpState:
     tab[1::2, -2] = z0 + const
     tab[:, -1] = 1.0
     return LexLpState(
-        missing_pairs=a.missing_pairs,
-        rows=rows,
-        cols=cols,
         triads=triads,
         coef=coef,
         const=const,
@@ -316,14 +305,10 @@ def solve_lp(state: LexLpState) -> LpSolution:
     )
 
 
-def _check_log_range(t: np.ndarray, missing_pairs) -> None:
-    """Raise ``CompletionOverflowError``, naming the pair, if exp of some t would overflow."""
-    if not np.all(np.abs(t) <= _LOG_MAX):
-        e = int(np.argmax(np.abs(t)))
-        raise CompletionOverflowError(
-            f"completed log entry {t[e]:.6g} at pair {missing_pairs[e]} is beyond "
-            f"float64: exp of it or of its negative overflows (|log| > {_LOG_MAX:.6g})"
-        )
+def _fill(a: IncompleteMatrix, t: np.ndarray) -> np.ndarray:
+    """a's entries with exp(t) at its missing pairs, by ``_exp_logs``, and their reciprocals."""
+    upper = _exp_logs(t, lambda e: f"the completed entry at pair {a.missing_pairs[e]}")
+    return _with_pairs(a.entries, *a._missing_index, upper)
 
 
 def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[FreezeRecord]]:
@@ -365,48 +350,34 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
     zero = OBJ_RTOL * state.scale
     sol = solve_lp(state)
     order: list[int] = []  # triad positions in freeze order
-    left = len(state.triads)  # active triads
     while sol.objective > zero:
         batch = (np.abs(sol.duals) > DUAL_TOL).nonzero()[0]  # duals are 0 on frozen triads
         if not batch.size:  # the active duals of a certificate sum to -1
             raise NoBindingDualFoundError(f"objective {sol.objective:.3e} > 0, no triad tight")
         state.freeze(batch, sol.objective)
         order.extend(batch.tolist())
-        left -= batch.size
-        if not left:
+        if not state.active.any():
             break
         sol = solve_lp(state)
 
-    _check_log_range(sol.t, state.missing_pairs)
-    bounds = state.bound.tolist()
-    top = max(order, key=bounds.__getitem__, default=None)  # the largest frozen bound
-    if top is not None and bounds[top] > _LOG_MAX:
-        raise CompletionOverflowError(
-            f"triad {tuple(state.triads[top])} has TI exp({bounds[top]:.6g}), "
-            f"beyond float64 (log > {_LOG_MAX:.6g})"
-        )
-    runs: list[list[int]] = []
-    first = math.inf
-    for p in order:
+    filled = _fill(a, sol.t)
+    bounds, first, run, key = state.bound.tolist(), math.inf, 0, {}
+    for p in order:  # a run: consecutive freezes within ``zero`` of its first bound
         if abs(bounds[p] - first) > zero:
-            first = bounds[p]
-            runs.append([])
-        runs[-1].append(p)
-    canonical = [p for run in runs for p in sorted(run, key=lambda p: state.triads[p])]
-    audit = [
-        FreezeRecord(state.triads[p], math.exp(bounds[p]), stage)
-        for stage, p in enumerate(canonical, 1)
-    ]
-    filled = _with_pairs(a.entries, state.rows, state.cols, np.exp(sol.t))
+            first, run = bounds[p], run + 1
+        key[p] = (run, state.triads[p])
+    canonical = sorted(order, key=key.__getitem__)
+    triads = [state.triads[p] for p in canonical]
+    tis = _exp_tis(state.bound[canonical], triads).tolist()
+    audit = [FreezeRecord(tr, ti, stage) for stage, (tr, ti) in enumerate(zip(triads, tis), 1)]
     return CompleteMatrix._trusted(filled), audit
 
 
-def _gci_logs(a: IncompleteMatrix, rows, cols) -> np.ndarray:
-    """The GCI completion's missing logs y[rows] - y[cols], checked by ``_check_log_range``."""
+def _gci_logs(a: IncompleteMatrix) -> np.ndarray:
+    """The GCI completion's missing logs y_i - y_j, for y the incomplete-LLSM log weights."""
+    rows, cols = a._missing_index
     y = _llsm_logs(a)
-    t = y[rows] - y[cols]
-    _check_log_range(t, a.missing_pairs)
-    return t
+    return y[rows] - y[cols]
 
 
 def gci_optimal_completion(a: IncompleteMatrix) -> CompleteMatrix:
@@ -418,9 +389,7 @@ def gci_optimal_completion(a: IncompleteMatrix) -> CompleteMatrix:
     _require_connected(a, "GCI completion")
     if a.is_complete:
         return a.to_complete()
-    rows, cols = a._missing_index
-    t = _gci_logs(a, rows, cols)
-    return CompleteMatrix._trusted(_with_pairs(a.entries, rows, cols, np.exp(t)))
+    return CompleteMatrix._trusted(_fill(a, _gci_logs(a)))
 
 
 CR_GRAD_TOL = 1e-10  # stop once every |d log lambda_max / d log a_ij| is below
@@ -444,7 +413,7 @@ def _left_perron(m: np.ndarray, v: np.ndarray, lam: float) -> tuple[np.ndarray, 
     return u / (u @ v), n_inv
 
 
-def _cr_point(base: np.ndarray, rows, cols, t: np.ndarray):
+def _cr_point(a: IncompleteMatrix, t: np.ndarray):
     """(log lambda, gradient, Perron pair, matrix, hessian) at missing logs t.
 
     One eigendecomposition gives the Perron pair: the right Perron vector v
@@ -458,7 +427,8 @@ def _cr_point(base: np.ndarray, rows, cols, t: np.ndarray):
     ``hessian()`` assembles that of log lambda, H_lambda / lambda - g g^T,
     on demand.
     """
-    m = _with_pairs(base, rows, cols, np.exp(t))
+    m = _fill(a, t)
+    rows, cols = a._missing_index
     v, lam = perron = _perron(m)
     u, n_inv = _left_perron(m, v, lam)
     n = len(v)
@@ -507,7 +477,8 @@ def cr_optimal_completion(
     Raises:
         DisconnectedComparisonGraphError: completion would not be unique.
         ValueError: ``initial_logs`` is not one finite value per missing pair.
-        CompletionOverflowError: a GCI starting log entry is beyond float64.
+        CompletionOverflowError: a log entry of a CR point, the start
+            included, is beyond float64.
         ConvergenceFailureError: ``CR_MAX_ITER`` steps taken first.
     """
     _require_connected(a, "CR completion")
@@ -522,9 +493,8 @@ def cr_optimal_completion(
     if a.is_complete:
         complete = a.to_complete()
         return complete, saaty_lambda_max(complete)
-    rows, cols = a._missing_index
-    t = _gci_logs(a, rows, cols) if initial_logs is None else initial_logs
-    f, g, perron, m, hessian = _cr_point(a.entries, rows, cols, t)
+    t = _gci_logs(a) if initial_logs is None else initial_logs
+    f, g, perron, m, hessian = _cr_point(a, t)
     for _ in range(CR_MAX_ITER):
         if np.max(np.abs(g)) <= CR_GRAD_TOL:
             return CompleteMatrix._trusted(m, perron=perron), perron[1]
@@ -537,7 +507,7 @@ def cr_optimal_completion(
         d *= min(1.0, CR_MAX_STEP / np.max(np.abs(d)))
         step = 1.0
         while True:
-            trial = _cr_point(a.entries, rows, cols, t + step * d)
+            trial = _cr_point(a, t + step * d)
             if trial[0] <= f + _ARMIJO * step * (g @ d) + _LOG_LAMBDA_NOISE:
                 break
             step *= 0.5

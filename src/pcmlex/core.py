@@ -4,6 +4,8 @@ Matrices are reciprocal (a_ji = 1/a_ij) positive square matrices; incomplete
 ones carry a symmetric mask of missing off-diagonal entries. Indices are
 0-based throughout the library; file formats and CLI output use 1-based
 labels. ``_with_pairs`` is the package's only writer of a reciprocal a_ji.
+``_exp_logs`` is the package's only exp of a log entry or of a log TI, and
+``_cycle_sums`` its only triad cycle sum log a_ij + log a_jk - log a_ik.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
     AsymmetricMissingnessError,
+    CompletionOverflowError,
     ConvergenceFailureError,
     DimensionMismatchError,
     DisconnectedComparisonGraphError,
@@ -30,6 +33,7 @@ from .errors import (
 RECIPROCITY_RTOL = 1e-9
 EQUALITY_WINDOW = 1e-9  # |a_ij - 1| below this counts as a stated tie
 TIE_RTOL = 1e-9  # default relative gap within which a stated tie's weights count as equal
+_LOG_MAX = math.log(np.finfo(float).max)  # exp(x), 1 / exp(x) finite and nonzero for |x| <= this
 
 
 class TriadIndex(NamedTuple):
@@ -57,29 +61,37 @@ def _triad_table(n: int) -> tuple[tuple[TriadIndex, ...], np.ndarray]:
     return triads, _freeze(np.array(triads, dtype=int).reshape(-1, 3))
 
 
+def _exp_logs(x: np.ndarray, what: Callable[[int], str]) -> np.ndarray:
+    """exp(x), or ``CompletionOverflowError`` naming ``what(e)`` if some |x_e| > ``_LOG_MAX``."""
+    if not abs(x).max(initial=0.0) <= _LOG_MAX:  # also for a NaN
+        e = int(np.argmax(np.abs(x)))
+        raise CompletionOverflowError(
+            f"log {x[e]:.6g} of {what(e)} is beyond float64 (|log| > {_LOG_MAX:.6g})"
+        )
+    return np.exp(x)
+
+
+def _cycle_sums(logs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """log a_ij + log a_jk - log a_ik for each row (i, j, k) of the (T, 3) ``idx``."""
+    i, j, k = idx.T
+    return logs[i, j] + logs[j, k] - logs[i, k]
+
+
 def _components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Weakly connected components, each sorted, ordered by smallest member."""
-    adj: list[set[int]] = [set() for _ in range(n)]
+    """Weakly connected components, each sorted, ordered by smallest member (union-find)."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]  # path halving
+        return v
+
     for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen: set[int] = set()
-    comps = []
-    for s in range(n):
-        if s in seen:
-            continue
-        comp = []
-        stack = [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+        root[find(i)] = find(j)
+    comps: dict[int, list[int]] = {}
+    for v in range(n):
+        comps.setdefault(find(v), []).append(v)
+    return list(comps.values())
 
 
 def _upper_index(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,12 +230,22 @@ class WeightVector:
 
     @classmethod
     def from_raw(cls, raw: Sequence[float] | np.ndarray) -> "WeightVector":
+        """``raw`` over its sum; a max >= 2 is scaled first, exactly, by a power of 2 into [1, 2).
+
+        Raises:
+            DimensionMismatchError, NonPositiveEntryError: also for a weight that underflows to 0.
+        """
         w = np.asarray(raw, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise DimensionMismatchError("weight vector must be 1-D with n >= 2")
-        if not np.all((w > 0) & np.isfinite(w)):
+        top = w.max()
+        if not (w.min() > 0 and top < math.inf):  # also False for a NaN
             raise NonPositiveEntryError("weights must be finite and strictly positive")
-        return cls(_freeze(w / w.sum()))
+        out = w * 2.0 ** min(0, 1 - math.frexp(top)[1])  # so the sum stays finite
+        out /= out.sum()
+        if not out.min() > 0:
+            raise NonPositiveEntryError(f"weight {w.min():.6g}, normalized, underflows float64")
+        return cls(_freeze(out))
 
     @property
     def n(self) -> int:
@@ -334,30 +356,35 @@ def is_consistent(m: CompleteMatrix, tol: float = 1e-9) -> bool:
     return bool(np.all(np.abs(prod - target) <= tol * target))
 
 
+def _exp_tis(s: np.ndarray, triads: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """TI = exp|s| of each triad cycle sum s, through ``_exp_logs`` naming ``triads[e]``."""
+    return _exp_logs(np.abs(s), lambda e: f"the TI of triad {tuple(map(int, triads[e]))}")
+
+
 def triad_ti(m: CompleteMatrix, t: TriadIndex) -> float:
-    """Triad inconsistency max{a_ik / (a_ij a_jk), (a_ij a_jk) / a_ik} >= 1."""
-    i, j, k = t
-    r = m.entries[i, k] / (m.entries[i, j] * m.entries[j, k])
-    return max(r, 1.0 / r)
+    """Triad inconsistency max{a_ik / (a_ij a_jk), (a_ij a_jk) / a_ik} >= 1, in log space.
+
+    Raises:
+        CompletionOverflowError: the TI is beyond float64.
+    """
+    return float(_exp_tis(_cycle_sums(np.log(m.entries), np.array([t])), [t])[0])
 
 
 def inconsistency_profile(m: CompleteMatrix) -> InconsistencyProfile:
-    """All triad inconsistencies, sorted non-increasing.
+    """All triad inconsistencies (see ``triad_ti``), sorted non-increasing.
 
     Raises:
         MatrixTooSmallError: if n < 3 (no triads exist).
+        CompletionOverflowError: some triad's TI is beyond float64.
     """
     if m.n < 3:
         raise MatrixTooSmallError("inconsistency profile needs n >= 3")
     triads, idx = _triad_table(m.n)
-    a = m.entries
-    i, j, k = idx.T
-    r = a[i, k] / (a[i, j] * a[j, k])
-    ti = np.maximum(r, 1.0 / r)
+    ti = _exp_tis(_cycle_sums(np.log(m.entries), idx), triads)
     order = np.argsort(-ti, kind="stable")
     return InconsistencyProfile(
         theta=_freeze(ti[order]),
-        triad_map={t: float(v) for t, v in zip(triads, ti)},
+        triad_map=dict(zip(triads, ti.tolist())),
     )
 
 

@@ -78,7 +78,7 @@ class DisconnectedComparisonGraphError(PcmError):
 
 
 class CompletionOverflowError(InvalidInputError):
-    """A completed entry, its reciprocal, a frozen triad's TI or a derived weight leaves float64."""
+    """exp of a log leaves float64: a completed entry (any CR point), any triad's TI, a weight."""
 
 
 # -- solvers ----------------------------------------------------------------

@@ -8,13 +8,14 @@ n, then one ``i j`` arc per line, 1-based.
 
 from __future__ import annotations
 
-import io
 import math
 from pathlib import Path
-from typing import TextIO
+
+import numpy as np
 
 from .core import CompleteMatrix, IncompleteMatrix, validate_reciprocal
-from .graph import PreferenceDag, build_dag
+from .errors import CycleDetectedError
+from .graph import PreferenceDag, _cycle_error, build_dag
 
 
 class ParseError(ValueError):
@@ -73,18 +74,9 @@ def read_matrix(path: str | Path) -> IncompleteMatrix:
 
 def dumps_matrix(m: CompleteMatrix | IncompleteMatrix) -> str:
     """Matrix in the text format, 12 significant digits, ``*`` for missing."""
-    out = io.StringIO()
-    out.write(f"{m.n}\n")
-    known = m.known if isinstance(m, IncompleteMatrix) else None
-    for i in range(m.n):
-        cells = []
-        for j in range(m.n):
-            if known is not None and not known[i, j]:
-                cells.append("*")
-            else:
-                cells.append(f"{m.entries[i, j]:.12g}")
-        out.write(" ".join(cells) + "\n")
-    return out.getvalue()
+    known = m.known if isinstance(m, IncompleteMatrix) else np.ones((m.n, m.n), dtype=bool)
+    cells = [[f"{x:.12g}" if k else "*" for x, k in zip(*row)] for row in zip(m.entries, known)]
+    return f"{m.n}\n" + "".join(" ".join(row) + "\n" for row in cells)
 
 
 def write_matrix(m: CompleteMatrix | IncompleteMatrix, path: str | Path) -> None:
@@ -92,7 +84,7 @@ def write_matrix(m: CompleteMatrix | IncompleteMatrix, path: str | Path) -> None
 
 
 def loads_dag(text: str) -> PreferenceDag:
-    """Parse DAG text (1-based arcs) and validate it as a connected DAG."""
+    """Parse DAG text (1-based arcs) as a connected DAG; a cycle's message is 1-based too."""
     n, rows = _tokenize(text)
     arcs = []
     for r, tokens in enumerate(rows):
@@ -105,7 +97,10 @@ def loads_dag(text: str) -> PreferenceDag:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"arc ({i}, {j}) out of range for n = {n}")
         arcs.append((i - 1, j - 1))
-    return build_dag(n, arcs)
+    try:
+        return build_dag(n, arcs)
+    except CycleDetectedError as exc:
+        raise _cycle_error(exc.cycle, first=1) from None
 
 
 def read_dag(path: str | Path) -> PreferenceDag:

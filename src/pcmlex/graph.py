@@ -53,7 +53,7 @@ def build_dag(n: int, arcs: Iterable[tuple[int, int]]) -> PreferenceDag:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"arc ({i}, {j}) out of range for n = {n}")
         if i == j:
-            raise CycleDetectedError(f"self-loop at vertex {i}", cycle=[i])
+            raise _cycle_error([i])
         if (j, i) in arc_set:
             raise BidirectionalArcError(f"both ({i}, {j}) and ({j}, {i}) present")
         arc_set.add((i, j))
@@ -82,9 +82,7 @@ def build_dag(n: int, arcs: Iterable[tuple[int, int]]) -> PreferenceDag:
             seen.add(walk[-1])
             walk.append(pred[walk[-1]])
         cycle = walk[walk.index(walk[-1]) + 1 :][::-1]
-        raise CycleDetectedError(
-            f"directed cycle {' -> '.join(map(str, cycle + cycle[:1]))}", cycle=cycle
-        )
+        raise _cycle_error(cycle)
 
     comps = _components(n, arc_set)
     if len(comps) > 1:
@@ -92,6 +90,14 @@ def build_dag(n: int, arcs: Iterable[tuple[int, int]]) -> PreferenceDag:
             f"graph has {len(comps)} weakly connected components", components=comps
         )
     return PreferenceDag(n, frozenset(arc_set), tuple(order))
+
+
+def _cycle_error(cycle: list[int], first: int = 0) -> CycleDetectedError:
+    """The error for the witness ``cycle`` (one vertex: a self-loop), numbered from ``first``."""
+    v = [str(x + first) for x in cycle]
+    if len(v) == 1:
+        return CycleDetectedError(f"self-loop at vertex {v[0]}", cycle=cycle)
+    return CycleDetectedError("directed cycle " + " -> ".join(v + v[:1]), cycle=cycle)
 
 
 def reachable(g: PreferenceDag, i: int, j: int) -> bool:

@@ -153,6 +153,23 @@ class TestCheckViolations:
     def test_requires_source(self, ex2_file):
         assert main(["check-violations", ex2_file]) == 2
 
+    def test_weights_whose_sum_overflows(self, tmp_path):
+        # the sum 2e308 overflowed: a RuntimeWarning, then w_i=0 w_j=0
+        m, w = tmp_path / "m.txt", tmp_path / "w.txt"
+        m.write_text("2\n1 2\n0.5 1\n")
+        w.write_text("1e308 1e308\n")
+        proc = run_cli("check-violations", str(m), "--weights", str(w))
+        assert proc.returncode == 0
+        assert "violation (1,2): a=2 w_i=0.5 w_j=0.5 [strict]" in proc.stdout
+        assert proc.stderr == ""
+
+    def test_weights_whose_normalized_smallest_underflows(self, tmp_path, capsys):
+        m, w = tmp_path / "m.txt", tmp_path / "w.txt"
+        m.write_text("2\n1 2\n0.5 1\n")
+        w.write_text("1e308 1e-308\n")
+        assert main(["check-violations", str(m), "--weights", str(w)]) == 2
+        assert "underflow" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_dag_lex_em(self, fig2_file, capsys):
@@ -345,6 +362,31 @@ class TestMalformedInput:
         assert proc.returncode == 2
         assert "pair" in proc.stderr and "float64" in proc.stderr
         assert "Warning" not in proc.stderr
+
+    def test_ti_overflow_exit_2(self, tmp_path):
+        # a_12 = a_23 = a_31 = 1e200: the triad's TI is exp(1381.6); the
+        # profile warned twice and printed "max TI: inf" and "KI: 1"
+        f = tmp_path / "m.txt"
+        f.write_text("3\n1 1e200 1e-200\n1e-200 1 1e200\n1e200 1e-200 1\n")
+        proc = run_cli("pipeline", str(f), "--completion", "lex", "--weighting", "llsm")
+        assert proc.returncode == 2
+        assert "TI of triad" in proc.stderr and "float64" in proc.stderr
+        assert "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("3\n1 2\n2 3\n3 1\n", "error: directed cycle 1 -> 2 -> 3 -> 1"),
+         ("3\n1 2\n3 3\n", "error: self-loop at vertex 3")],
+        ids=["cycle", "self-loop"],
+    )
+    def test_cycle_vertices_one_based(self, tmp_path, capsys, text, message):
+        # the vertices are the file's; they printed 0-based
+        f = tmp_path / "g.dag"
+        f.write_text(text)
+        code = main(["pipeline", str(f), "--completion", "lex", "--weighting", "em",
+                     "--alpha", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == message
 
     def test_long_cycle_exit_2(self, tmp_path):
         # a 1,500-vertex cycle must fail as bad input, not with a RecursionError

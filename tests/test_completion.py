@@ -120,7 +120,7 @@ def _stage_inputs():
 class TestBuildLexLp:
     def test_example2_structure(self, example2):
         state = build_lex_lp(example2)
-        assert state.missing_pairs == ((0, 2), (0, 3))
+        assert example2.missing_pairs == ((0, 2), (0, 3))
         assert len(state.triads) == 4
         # four active triads, one absolute-value pair of rows each
         assert int(state.active.sum()) == 4
@@ -136,7 +136,7 @@ class TestBuildLexLp:
         sol = solve_lp(state)
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         # the single free variable zeroes the only cycle sum: x13 = 2 * 4
-        assert math.exp(sol.t[state.missing_pairs.index((0, 2))]) == pytest.approx(8.0, rel=1e-8)
+        assert math.exp(sol.t[a.missing_pairs.index((0, 2))]) == pytest.approx(8.0, rel=1e-8)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_cycle_sums_match_filled_matrix(self, seed):
@@ -148,8 +148,8 @@ class TestBuildLexLp:
             n = int(rng.integers(4, 9))
             a = random_incomplete(n, int(rng.integers(1, (n - 1) * (n - 2) // 2 + 1)), rng)
         state = build_lex_lp(a)
-        t = rng.normal(scale=2.0, size=len(state.missing_pairs))
-        rows, cols = np.array(state.missing_pairs).T
+        t = rng.normal(scale=2.0, size=len(a.missing_pairs))
+        rows, cols = np.array(a.missing_pairs).T
         logs = np.log(_with_pairs(a.entries, rows, cols, np.exp(t)))
         i, j, k = np.array(state.triads).T
         expected = logs[i, j] + logs[j, k] - logs[i, k]
@@ -175,8 +175,8 @@ class TestSolveLp:
         state.freeze(pos, first.objective)
         second = solve_lp(state)
         assert second.objective == pytest.approx(LN2, abs=1e-8)
-        assert second.t[state.missing_pairs.index((0, 2))] / LN2 == pytest.approx(2.0, abs=1e-7)
-        assert second.t[state.missing_pairs.index((0, 3))] / LN2 == pytest.approx(3.0, abs=1e-7)
+        assert second.t[example2.missing_pairs.index((0, 2))] / LN2 == pytest.approx(2.0, abs=1e-7)
+        assert second.t[example2.missing_pairs.index((0, 3))] / LN2 == pytest.approx(3.0, abs=1e-7)
 
     def test_every_triad_frozen_objective_zero(self, example2):
         state = build_lex_lp(example2)
@@ -411,7 +411,7 @@ class TestLexCompletion:
             [[1, 1e300, 1e-300, None], [1e-300, 1, 1e300, 2], [1e300, 1e-300, 1, 3],
              [None, 0.5, 1 / 3, 1]]
         )
-        with pytest.raises(CompletionOverflowError, match=r"triad \(0, 1, 2\).*2072\.3"):
+        with pytest.raises(CompletionOverflowError, match=r"2072\.3.*triad \(0, 1, 2\)"):
             lex_optimal_completion(a)
 
     def test_example2_full_reproduction(self, example2):
@@ -806,13 +806,13 @@ class TestCrCompletion:
             base = gci_optimal_completion(a).entries
             rows, cols = np.array(a.missing_pairs).T
             t = np.log(base[rows, cols]) + rng.normal(scale=0.5, size=len(rows))
-            hessian = completion._cr_point(base, rows, cols, t)[4]()
+            hessian = completion._cr_point(a, t)[4]()
             fd = np.empty_like(hessian)
             for k in range(len(t)):
                 e = np.zeros(len(t))
                 e[k] = h
-                plus = completion._cr_point(base, rows, cols, t + e)[1]
-                minus = completion._cr_point(base, rows, cols, t - e)[1]
+                plus = completion._cr_point(a, t + e)[1]
+                minus = completion._cr_point(a, t - e)[1]
                 fd[:, k] = (plus - minus) / (2 * h)
             assert np.max(np.abs(hessian - fd)) <= 1e-6 * np.max(np.abs(hessian))
             # log lambda_max is convex in the log entries
@@ -920,6 +920,13 @@ class TestCrCompletion:
         assert len(a.missing_pairs) == 6
         with pytest.raises(ValueError, match="initial_logs"):
             cr_optimal_completion(a, initial_logs=initial_logs)
+
+    def test_initial_logs_beyond_float64_raise(self):
+        # exp(800) overflowed to inf, and the eigensolve then failed with
+        # ConvergenceFailureError; the fill of every CR point now names the pair
+        a = dag_to_incomplete_matrix(build_dag(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 3.0)
+        with pytest.raises(CompletionOverflowError, match=r"800.*pair \(0, 2\)"):
+            cr_optimal_completion(a, initial_logs=np.full(len(a.missing_pairs), 800.0))
 
 
 class TestCrPerronPair:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +29,9 @@ from pcmlex import (
 from pcmlex.core import EQUALITY_WINDOW, RECIPROCITY_RTOL, OrdinalViolation, _as_value_mask
 from pcmlex.errors import (
     AsymmetricMissingnessError,
+    CompletionOverflowError,
     DimensionMismatchError,
+    InvalidInputError,
     MatrixTooSmallError,
     NonPositiveEntryError,
     NonSquareError,
@@ -44,6 +48,11 @@ EXAMPLE2_COMPLETED = [
     [1 / 4, 1, 1, 1],
     [1 / 8, 1 / 8, 1, 1],
 ]
+
+
+# a_12 = a_23 = a_31 = 1e200: the one triad's cycle sum is 3 log 1e200 = 1381.6,
+# so its TI, exp of that, is beyond float64
+CYCLIC_1E200 = [[1, 1e200, 1e-200], [1e-200, 1, 1e200], [1e200, 1e-200, 1]]
 
 
 def example2_theta_oracle(x13: float, x14: float) -> np.ndarray:
@@ -320,6 +329,27 @@ class TestTriadTi:
             assert max(vals) - min(vals) < 1e-12
 
 
+class TestTiRange:
+    @pytest.mark.parametrize("index", [inconsistency_profile, koczkodaj_ki,
+                                       lambda m: triad_ti(m, TriadIndex(0, 1, 2))],
+                             ids=["profile", "ki", "triad_ti"])
+    def test_ti_beyond_float64_raises(self, index):
+        # the ratio form returned inf here, and KI 1
+        m = CompleteMatrix.from_array(CYCLIC_1E200)
+        with pytest.raises(CompletionOverflowError, match=r"1381\.55.*triad \(0, 1, 2\)"):
+            index(m)
+
+    def test_ti_at_log_700_is_finite(self):
+        # a_12 = a_23 = e^350, a_13 = 1: TI e^700, near the top of float64
+        x = math.exp(350.0)
+        m = CompleteMatrix.from_array([[1, x, 1], [1 / x, 1, x], [1, 1 / x, 1]])
+        r = m.entries[0, 2] / (m.entries[0, 1] * m.entries[1, 2])
+        ratio = max(r, 1 / r)
+        for ti in (triad_ti(m, TriadIndex(0, 1, 2)), inconsistency_profile(m).max_ti):
+            assert math.isfinite(ti)
+            assert ti == pytest.approx(ratio, rel=1e-12)
+
+
 class TestProfile:
     def test_consistent_profile_all_ones(self):
         prof = inconsistency_profile(ratio_matrix([3, 1, 4, 2]))
@@ -523,3 +553,23 @@ class TestWeightVector:
     def test_finite_required(self, bad):
         with pytest.raises(NonPositiveEntryError):
             WeightVector.from_raw([0.1, bad, 0.5])
+
+    def test_sum_beyond_float64_normalizes(self):
+        # the sum 2e308 overflowed, and the weights came back as zeros
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert WeightVector.from_raw([1e308, 1e308]).w.tolist() == [0.5, 0.5]
+
+    def test_normalized_underflow_raises(self):
+        # 1e-308 / 1e308 is below the smallest subnormal: it returned [1, 0]
+        with pytest.raises(InvalidInputError, match="underflow"):
+            WeightVector.from_raw([1e308, 1e-308])
+
+    def test_power_of_two_scaling_is_exact(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            w = rng.uniform(1e-3, 1.0, int(rng.integers(2, 10)))
+            plain = WeightVector.from_raw(w).w
+            assert np.array_equal(plain, w / w.sum())
+            for k in (-1000, -1, 1, 1000):
+                assert np.array_equal(WeightVector.from_raw(np.ldexp(w, k)).w, plain)

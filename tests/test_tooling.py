@@ -1,5 +1,6 @@
 """The package surface that the benchmark and the demos rely on."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -92,6 +93,37 @@ def test_pipeline_calls_each_method_by_its_module_name(monkeypatch, completion, 
     expected = dict.fromkeys(names.values(), 0)
     expected[names[completion]] = expected[names[weighting]] = 1
     assert calls == expected
+
+
+def _exp_call_sites() -> list[tuple[str, str]]:
+    """(module, enclosing function) of each ``np.exp`` / ``numpy.exp`` / ``math.exp`` call."""
+    sites = []
+
+    def walk(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, module, child.name)
+                continue
+            func = getattr(child, "func", None)  # only a call has one
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "exp"
+                and isinstance(func.value, ast.Name)
+                and func.value.id in {"np", "numpy", "math"}
+            ):
+                sites.append((module, where))
+            walk(child, module, where)
+
+    for path in sorted(Path(pcmlex.__file__).resolve().parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, "<module>")
+    return sites
+
+
+def test_exp_only_in_the_two_guarded_places():
+    # core._exp_logs raises CompletionOverflowError for a log beyond float64,
+    # and weighting._weights_from_logs for a weight that underflows: an exp
+    # anywhere else would turn such a log into inf or 0 unchecked
+    assert _exp_call_sites() == [("core", "_exp_logs"), ("weighting", "_weights_from_logs")]
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))
