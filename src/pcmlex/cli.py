@@ -1,7 +1,7 @@
 """Command-line surface for completion, weighting, audits and harnesses.
 
 Exit codes: 0 success, 2 parse/usage error, 3 disconnected graph,
-4 solver failure. Vertices in files and in printed triads are 1-based.
+4 solver failure. Vertices in files, printed triads and errors are 1-based.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ import argparse
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .completion import FreezeRecord, lex_optimal_completion
@@ -136,8 +134,12 @@ def _cmd_weights(args) -> int:
 def _cmd_check_violations(args) -> int:
     a = read_matrix(args.matrix)
     if args.weights:
-        tokens = Path(args.weights).read_text().split()
-        w = np.array([float(t) for t in tokens])
+        w = []
+        for k, token in enumerate(Path(args.weights).read_text().split(), 1):
+            try:
+                w.append(float(token))
+            except ValueError:
+                raise ParseError(f"{args.weights}: weight {k} {token!r} is not a number") from None
     elif args.method:
         w = derive_weights(complete_matrix(a, "lex"), args.method).w
     else:
@@ -317,15 +319,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, ValueError, InvalidInputError) as exc:
+    except PcmError as exc:
+        print(f"error: {exc.render(1)}", file=sys.stderr)
+        if isinstance(exc, (DisconnectedComparisonGraphError, DisconnectedError)):
+            return EXIT_DISCONNECTED
+        return EXIT_PARSE if isinstance(exc, InvalidInputError) else EXIT_SOLVER
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DisconnectedComparisonGraphError, DisconnectedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except PcmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

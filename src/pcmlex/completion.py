@@ -307,7 +307,7 @@ def solve_lp(state: LexLpState) -> LpSolution:
 
 def _fill(a: IncompleteMatrix, t: np.ndarray) -> np.ndarray:
     """a's entries with exp(t) at its missing pairs, by ``_exp_logs``, and their reciprocals."""
-    upper = _exp_logs(t, lambda e: f"the completed entry at pair {a.missing_pairs[e]}")
+    upper = _exp_logs(t, "the completed entry at pair {pair}", pair=lambda e: a.missing_pairs[e])
     return _with_pairs(a.entries, *a._missing_index, upper)
 
 

@@ -2,8 +2,9 @@
 
 Matrices are reciprocal (a_ji = 1/a_ij) positive square matrices; incomplete
 ones carry a symmetric mask of missing off-diagonal entries. Indices are
-0-based throughout the library; file formats and CLI output use 1-based
-labels. ``_with_pairs`` is the package's only writer of a reciprocal a_ji.
+0-based throughout the library, error messages and their fields included;
+file formats and CLI output, error messages too, use 1-based labels.
+``_with_pairs`` is the package's only writer of a reciprocal a_ji.
 ``_exp_logs`` is the package's only exp of a log entry or of a log TI, and
 ``_cycle_sums`` its only triad cycle sum log a_ij + log a_jk - log a_ik.
 """
@@ -61,12 +62,16 @@ def _triad_table(n: int) -> tuple[tuple[TriadIndex, ...], np.ndarray]:
     return triads, _freeze(np.array(triads, dtype=int).reshape(-1, 3))
 
 
-def _exp_logs(x: np.ndarray, what: Callable[[int], str]) -> np.ndarray:
-    """exp(x), or ``CompletionOverflowError`` naming ``what(e)`` if some |x_e| > ``_LOG_MAX``."""
+def _exp_logs(x: np.ndarray, what: str, **at: Callable[[int], tuple[int, ...]]) -> np.ndarray:
+    """exp(x), or ``CompletionOverflowError`` if some |x_e| > ``_LOG_MAX``.
+
+    The error names ``what``, a template of the one index field in ``at``, set to ``at[field](e)``.
+    """
     if not abs(x).max(initial=0.0) <= _LOG_MAX:  # also for a NaN
         e = int(np.argmax(np.abs(x)))
         raise CompletionOverflowError(
-            f"log {x[e]:.6g} of {what(e)} is beyond float64 (|log| > {_LOG_MAX:.6g})"
+            "log {log:.6g} of " + what + " is beyond float64 (|log| > {limit:.6g})",
+            log=x[e], limit=_LOG_MAX, **{field: index(e) for field, index in at.items()},
         )
     return np.exp(x)
 
@@ -304,24 +309,25 @@ def validate_reciprocal(raw) -> IncompleteMatrix:
     if bad_diag.size:
         i = int(bad_diag[0])
         if not known[i, i]:
-            raise AsymmetricMissingnessError(f"diagonal entry ({i}, {i}) is missing")
+            raise AsymmetricMissingnessError("diagonal entry {pair} is missing", pair=(i, i))
         raise ReciprocityViolationError(
-            f"diagonal entry ({i}, {i}) = {values[i, i]} must equal 1",
-            pair=(i, i),
-            deviation=diag_dev[i],
+            "diagonal entry {pair} = {value} must equal 1",
+            pair=(i, i), value=values[i, i], deviation=diag_dev[i],
         )
 
     bad = known & ~(values > 0)
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
-        raise NonPositiveEntryError(f"entry ({i}, {j}) = {values[i, j]} is not positive")
+        raise NonPositiveEntryError(
+            "entry {pair} = {value} is not positive", pair=(i, j), value=values[i, j]
+        )
 
     upper_i, upper_j = np.triu_indices(n, 1)  # row-major
     asymmetric = np.flatnonzero(known[upper_i, upper_j] != known[upper_j, upper_i])
     if asymmetric.size:
         i, j = int(upper_i[asymmetric[0]]), int(upper_j[asymmetric[0]])
         raise AsymmetricMissingnessError(
-            f"entry ({i}, {j}) and ({j}, {i}) disagree on missingness"
+            "entry {pair} and ({pair[1]}, {pair[0]}) disagree on missingness", pair=(i, j)
         )
 
     # the first pair in row-major order with the largest |a_ij * a_ji - 1|
@@ -331,10 +337,9 @@ def validate_reciprocal(raw) -> IncompleteMatrix:
     if dev[k] > RECIPROCITY_RTOL:
         i, j = int(upper_i[k]), int(upper_j[k])
         raise ReciprocityViolationError(
-            f"entries ({i}, {j}) = {values[i, j]} and ({j}, {i}) = {values[j, i]} "
-            f"violate reciprocity (|a_ij * a_ji - 1| = {dev[k]:.3e})",
-            pair=(i, j),
-            deviation=dev[k],
+            "entries {pair} = {value} and ({pair[1]}, {pair[0]}) = {reciprocal} "
+            "violate reciprocity (|a_ij * a_ji - 1| = {deviation:.3e})",
+            pair=(i, j), value=values[i, j], reciprocal=values[j, i], deviation=dev[k],
         )
 
     return _canonical_reciprocal(values, known)
@@ -358,7 +363,7 @@ def is_consistent(m: CompleteMatrix, tol: float = 1e-9) -> bool:
 
 def _exp_tis(s: np.ndarray, triads: Sequence[tuple[int, int, int]]) -> np.ndarray:
     """TI = exp|s| of each triad cycle sum s, through ``_exp_logs`` naming ``triads[e]``."""
-    return _exp_logs(np.abs(s), lambda e: f"the TI of triad {tuple(map(int, triads[e]))}")
+    return _exp_logs(np.abs(s), "the TI of triad {triad}", triad=triads.__getitem__)
 
 
 def triad_ti(m: CompleteMatrix, t: TriadIndex) -> float:

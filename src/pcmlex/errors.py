@@ -1,10 +1,32 @@
-"""Exception hierarchy for matrix validation, graph construction and solvers."""
+"""Exception hierarchy for matrix validation, graph construction and solvers.
+
+Index fields (``pair``, ``triad``, ``vertex``, ``cycle``) and each error's ``str`` are
+0-based, like every library index; the CLI prints them from 1, by ``PcmError.render(1)``.
+"""
 
 from __future__ import annotations
 
 
 class PcmError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of this package's errors: a ``str.format`` template and keyword fields."""
+
+    def __init__(self, template: str, **fields):
+        self.template, self.fields = template, fields
+        self.__dict__.update(fields)
+        super().__init__(self.render(0))
+
+    def render(self, base: int) -> str:
+        """The message with every index field numbered from ``base``."""
+        return self.template.format(**{k: _numbered(k, v, base) for k, v in self.fields.items()})
+
+
+def _numbered(name: str, value, base: int):
+    """Field ``name`` as shown from ``base``; a cycle as a closed path 0 -> 1 -> 0."""
+    if name == "cycle":
+        return " -> ".join(str(v + base) for v in [*value, value[0]])
+    if name in ("pair", "triad"):
+        return tuple(int(v) + base for v in value)
+    return value + base if name == "vertex" else value
 
 
 class InvalidInputError(PcmError):
@@ -26,17 +48,7 @@ class AsymmetricMissingnessError(InvalidInputError):
 
 
 class ReciprocityViolationError(InvalidInputError):
-    """a_ji deviates from 1 / a_ij beyond tolerance.
-
-    Carries the worst offending pair as ``pair`` and its relative deviation
-    as ``deviation``.
-    """
-
-    def __init__(self, message: str, pair: tuple[int, int] | None = None,
-                 deviation: float | None = None):
-        super().__init__(message)
-        self.pair = pair
-        self.deviation = deviation
+    """a_ji deviates from 1 / a_ij past tolerance; ``pair`` is the worst, off by ``deviation``."""
 
 
 class MatrixTooSmallError(PcmError):
@@ -52,17 +64,9 @@ class DimensionMismatchError(InvalidInputError):
 class CycleDetectedError(InvalidInputError):
     """Directed graph contains a cycle; ``cycle`` holds one witness."""
 
-    def __init__(self, message: str, cycle: list[int] | None = None):
-        super().__init__(message)
-        self.cycle = cycle or []
-
 
 class DisconnectedError(PcmError):
     """Underlying undirected graph is not connected; ``components`` holds them."""
-
-    def __init__(self, message: str, components: list[list[int]] | None = None):
-        super().__init__(message)
-        self.components = components or []
 
 
 class BidirectionalArcError(InvalidInputError):

@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CompleteMatrix, IncompleteMatrix, validate_reciprocal
-from .errors import CycleDetectedError
-from .graph import PreferenceDag, _cycle_error, build_dag
+from .graph import PreferenceDag, build_dag
 
 
 class ParseError(ValueError):
@@ -84,7 +83,7 @@ def write_matrix(m: CompleteMatrix | IncompleteMatrix, path: str | Path) -> None
 
 
 def loads_dag(text: str) -> PreferenceDag:
-    """Parse DAG text (1-based arcs) as a connected DAG; a cycle's message is 1-based too."""
+    """Parse DAG text (1-based arcs) and validate it as a connected DAG."""
     n, rows = _tokenize(text)
     arcs = []
     for r, tokens in enumerate(rows):
@@ -97,10 +96,7 @@ def loads_dag(text: str) -> PreferenceDag:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"arc ({i}, {j}) out of range for n = {n}")
         arcs.append((i - 1, j - 1))
-    try:
-        return build_dag(n, arcs)
-    except CycleDetectedError as exc:
-        raise _cycle_error(exc.cycle, first=1) from None
+    return build_dag(n, arcs)
 
 
 def read_dag(path: str | Path) -> PreferenceDag:

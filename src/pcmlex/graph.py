@@ -53,9 +53,11 @@ def build_dag(n: int, arcs: Iterable[tuple[int, int]]) -> PreferenceDag:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"arc ({i}, {j}) out of range for n = {n}")
         if i == j:
-            raise _cycle_error([i])
+            raise CycleDetectedError("self-loop at vertex {vertex}", vertex=i, cycle=[i])
         if (j, i) in arc_set:
-            raise BidirectionalArcError(f"both ({i}, {j}) and ({j}, {i}) present")
+            raise BidirectionalArcError(
+                "both {pair} and ({pair[1]}, {pair[0]}) present", pair=(i, j)
+            )
         arc_set.add((i, j))
 
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -82,7 +84,7 @@ def build_dag(n: int, arcs: Iterable[tuple[int, int]]) -> PreferenceDag:
             seen.add(walk[-1])
             walk.append(pred[walk[-1]])
         cycle = walk[walk.index(walk[-1]) + 1 :][::-1]
-        raise _cycle_error(cycle)
+        raise CycleDetectedError("directed cycle {cycle}", cycle=cycle)
 
     comps = _components(n, arc_set)
     if len(comps) > 1:
@@ -90,14 +92,6 @@ def build_dag(n: int, arcs: Iterable[tuple[int, int]]) -> PreferenceDag:
             f"graph has {len(comps)} weakly connected components", components=comps
         )
     return PreferenceDag(n, frozenset(arc_set), tuple(order))
-
-
-def _cycle_error(cycle: list[int], first: int = 0) -> CycleDetectedError:
-    """The error for the witness ``cycle`` (one vertex: a self-loop), numbered from ``first``."""
-    v = [str(x + first) for x in cycle]
-    if len(v) == 1:
-        return CycleDetectedError(f"self-loop at vertex {v[0]}", cycle=cycle)
-    return CycleDetectedError("directed cycle " + " -> ".join(v + v[:1]), cycle=cycle)
 
 
 def reachable(g: PreferenceDag, i: int, j: int) -> bool:

@@ -8,7 +8,9 @@ import pytest
 
 import pcmlex
 from pcmlex.cli import main
-from pcmlex.fileio import dumps_dag, dumps_matrix, loads_matrix
+from pcmlex.completion import lex_optimal_completion
+from pcmlex.errors import PcmError
+from pcmlex.fileio import dumps_dag, dumps_matrix, loads_dag, loads_matrix
 from pcmlex.graph import build_dag
 
 from conftest import FIG2_ARCS_1BASED
@@ -291,6 +293,14 @@ class TestAlphaNotGreaterThanOne:
 NON_RECIPROCAL_TEXT = "3\n1 2 *\n2 1 3\n* 1/3 1\n"
 
 
+def main_on_files(tmp_path, command, files):
+    """``main(command)``, each ``{key}`` in it the path of a file holding ``files[key]``."""
+    paths = {key: tmp_path / f"{key}.txt" for key in files}
+    for key, text in files.items():
+        paths[key].write_text(text)
+    return main([arg.format(**paths) for arg in command])
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "command,files",
@@ -317,14 +327,59 @@ class TestMalformedInput:
              "sweep-cyclic-dag", "bidirectional-arc"],
     )
     def test_exit_2(self, tmp_path, command, files, capsys):
-        paths = {}
-        for key, text in files.items():
-            paths[key] = tmp_path / f"{key}.txt"
-            paths[key].write_text(text)
-        code = main([arg.format(**paths) for arg in command])
+        code = main_on_files(tmp_path, command, files)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command,files,names,fields",
+        [
+            (["complete", "{m}", "--method", "lex"], {"m": "3\n1 -2 *\n-1/2 1 1\n* 1 1\n"},
+             ["entry (1, 2)"], {"pair": (0, 1)}),
+            (["complete", "{m}", "--method", "lex"], {"m": "3\n* 2 3\n1/2 1 1\n1/3 1 1\n"},
+             ["(1, 1)"], {"pair": (0, 0)}),
+            (["complete", "{m}", "--method", "lex"], {"m": "3\n2 2 3\n1/2 1 1\n1/3 1 1\n"},
+             ["(1, 1)"], {"pair": (0, 0)}),
+            (["complete", "{m}", "--method", "lex"], {"m": "3\n1 2 3\n0.5 1 *\n1/3 1 1\n"},
+             ["(2, 3)", "(3, 2)"], {"pair": (1, 2)}),
+            (["complete", "{m}", "--method", "lex"], {"m": "3\n1 2 3\n0.4 1 2\n1/3 0.5 1\n"},
+             ["(1, 2)", "(2, 1)"], {"pair": (0, 1)}),
+            (["complete", "{m}", "--method", "lex"],
+             {"m": "3\n1 1e200 *\n1e-200 1 1e200\n* 1e-200 1\n"},
+             ["pair (1, 3)"], {"pair": (0, 2)}),
+            (["complete", "{m}", "--method", "lex"],
+             {"m": "4\n1 1e300 1e-300 *\n1e-300 1 1e300 2\n1e300 1e-300 1 3\n* 0.5 1/3 1\n"},
+             ["triad (1, 2, 3)"], {"triad": (0, 1, 2)}),
+            (["pipeline", "{m}", "--completion", "lex", "--weighting", "em", "--alpha", "2"],
+             {"m": "3\n1 2\n2 1\n"}, ["(2, 1) and (1, 2)"], {"pair": (1, 0)}),
+            (["pipeline", "{m}", "--completion", "lex", "--weighting", "em", "--alpha", "2"],
+             {"m": "3\n1 2\n2 3\n3 1\n"}, ["1 -> 2 -> 3 -> 1"], {"cycle": [0, 1, 2]}),
+            (["pipeline", "{m}", "--completion", "lex", "--weighting", "em", "--alpha", "2"],
+             {"m": "3\n1 2\n3 3\n"}, ["vertex 3"], {"vertex": 2, "cycle": [2]}),
+            (["check-violations", "{m}", "--weights", "{w}"],
+             {"m": "2\n1 2\n0.5 1\n", "w": "1 x\n"}, ["w.txt", "weight 2", "'x'"], None),
+        ],
+        ids=["negative-entry", "missing-diagonal", "diagonal-not-one", "asymmetric-missing",
+             "reciprocity", "entry-overflow", "ti-overflow", "bidirectional-arc", "cycle",
+             "self-loop", "weights-bad-token"],
+    )
+    def test_defect_position_one_based(self, tmp_path, capsys, command, files, names, fields):
+        # the CLI numbers the defect as the file does; the library's error
+        # fields, and its own message, stay 0-based
+        code = main_on_files(tmp_path, command, files)
+        err = capsys.readouterr().err
+        assert code == 2
+        for name in names:
+            assert name in err
+        if fields is not None:
+            with pytest.raises(PcmError) as info:
+                if command[0] == "pipeline":
+                    loads_dag(files["m"])
+                else:
+                    lex_optimal_completion(loads_matrix(files["m"]))
+            assert {k: getattr(info.value, k) for k in fields} == fields
+            assert err == f"error: {info.value.render(1)}\n"
 
     def test_auto_input_kind_keeps_matrix_error(self, tmp_path, capsys):
         f = tmp_path / "m.txt"

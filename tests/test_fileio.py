@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcmlex import build_dag, lex_optimal_completion, random_cdag, validate_reciprocal
+from pcmlex import lex_optimal_completion, random_cdag, validate_reciprocal
 from pcmlex.errors import CycleDetectedError
 from pcmlex.fileio import (
     ParseError,
@@ -113,20 +113,17 @@ class TestDagFormat:
             loads_dag("2\n1 two\n")
 
     @pytest.mark.parametrize(
-        "text,message,zero_based,cycle",
-        [("3\n1 2\n2 3\n3 1\n", "directed cycle 1 -> 2 -> 3 -> 1",
-          "directed cycle 0 -> 1 -> 2 -> 0", [0, 1, 2]),
-         ("3\n1 2\n3 3\n", "self-loop at vertex 3", "self-loop at vertex 2", [2])],
+        "text,message,one_based,cycle",
+        [("3\n1 2\n2 3\n3 1\n", "directed cycle 0 -> 1 -> 2 -> 0",
+          "directed cycle 1 -> 2 -> 3 -> 1", [0, 1, 2]),
+         ("3\n1 2\n3 3\n", "self-loop at vertex 2", "self-loop at vertex 3", [2])],
         ids=["cycle", "self-loop"],
     )
-    def test_cycle_reported_one_based(self, text, message, zero_based, cycle):
-        # the message numbers vertices as the file does; the witness and
-        # build_dag's own message stay 0-based
+    def test_cycle_reported_zero_based(self, text, message, one_based, cycle):
+        # like every library message and the witness; render(1) numbers the
+        # vertices as the file does
         with pytest.raises(CycleDetectedError) as info:
             loads_dag(text)
         assert str(info.value) == message
+        assert info.value.render(1) == one_based
         assert info.value.cycle == cycle
-        arcs = [tuple(int(v) - 1 for v in line.split()) for line in text.splitlines()[1:]]
-        with pytest.raises(CycleDetectedError) as info:
-            build_dag(3, arcs)
-        assert str(info.value) == zero_based
