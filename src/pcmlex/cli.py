@@ -219,7 +219,7 @@ def _cmd_verify_theorem1(args) -> int:
     for fail in summary.solver_failures:
         print(
             f"SOLVER FAILURE trial={fail.trial} n={fail.n} alpha={fail.alpha} "
-            f"seed={fail.seed}: {fail.error}"
+            f"seed={fail.seed}: {type(fail.error).__name__}: {fail.error.render(1)}"
         )
         sys.stdout.write(fail.matrix_text)
     if not summary.passed:

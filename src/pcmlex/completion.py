@@ -6,7 +6,11 @@
   tableau, one column per missing entry: the level falls by dual-simplex
   pivots until a row certifies it, the triads that certificate prices
   freeze, and the run goes on from the same basis. Each stage's primal
-  residual and duality gap are computed only when read;
+  residual and duality gap are computed only when read. The run solves
+  unit-free logs, the known logs over their largest magnitude rounded to
+  ``LOG_QUANTUM``, so a DAG matrix is one input at every alpha. Only the
+  last run is kept, as reuse comes from consecutive calls on one input:
+  an alpha sweep, or a second weighting of one matrix;
 * GCI-optimal: each missing log entry is y_i - y_j, for y the incomplete
   log-least-squares log weights, so no weight is formed;
 * CR-optimal: missing entries minimize the dominant eigenvalue, found by
@@ -42,6 +46,8 @@ from .weighting import _llsm_logs
 
 OBJ_RTOL = 1e-9  # objective below this times max |const| counts as zero
 DUAL_TOL = 1e-9  # |triad dual| above this freezes it; absolute, as the active duals sum to -1
+LOG_QUANTUM = 2.0**-46  # about 1.4e-14: the grid of the unit-free logs the lex run solves
+_memo: dict = {}  # the last lex run's result by its input; one entry, see lex_optimal_completion
 
 
 @dataclass
@@ -161,11 +167,13 @@ class FreezeRecord:
     stage: int
 
 
-def build_lex_lp(a: IncompleteMatrix) -> LexLpState:
+def build_lex_lp(a: IncompleteMatrix, logs: np.ndarray) -> LexLpState:
     """Assemble the starting tableau of the lexicographic completion.
 
     Args:
-        a: incomplete matrix with a connected comparison graph.
+        a: incomplete matrix with a connected comparison graph; only its
+            missing pairs are read.
+        logs: (n, n) log entries, 0 at a's missing pairs.
 
     Raises:
         DisconnectedComparisonGraphError: completion would not be unique.
@@ -176,7 +184,7 @@ def build_lex_lp(a: IncompleteMatrix) -> LexLpState:
     m, n_triads = len(rows), len(triads)
     var = np.full((a.n, a.n), m)  # a known pair points at the sentinel column m
     var[rows, cols] = np.arange(m)
-    const = _cycle_sums(np.log(np.where(a.known, a.entries, 1.0)), idx)
+    const = _cycle_sums(logs, idx)
     coef = np.zeros((n_triads, m + 1))
     pairs = var[idx[:, [0, 1, 0]], idx[:, [1, 2, 2]]]  # (T, 3): the variables of ij, jk, ik
     coef[np.arange(n_triads)[:, None], pairs] = (1.0, 1.0, -1.0)
@@ -317,15 +325,26 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
     Runs the successive min-max LPs as one parametric run (see
     ``solve_lp``): each stage lowers the level until a certificate, and
     while the level exceeds ``OBJ_RTOL`` times max |const| (the scale of
-    the data, so the result does not depend on the unit of the log entries,
-    such as the alpha of a DAG matrix), every active triad whose dual in
-    that certificate exceeds ``DUAL_TOL`` freezes at the level: it is tight
-    at every optimum by complementary slackness (the saturation step of
-    lexicographic min-max LP; Nace & Orlin 2007). The run goes on from the
-    same basis until the level is (numerically) zero or no active triad
-    remains. A triad that the freezes pin at the level blocks the next
-    stage at once, with no pivot, and freezes there; so does each level
-    once every cycle sum is fixed.
+    the data), every active triad whose dual in that certificate exceeds
+    ``DUAL_TOL`` freezes at the level: it is tight at every optimum by
+    complementary slackness (the saturation step of lexicographic min-max
+    LP; Nace & Orlin 2007). The run goes on from the same basis until the
+    level is (numerically) zero or no active triad remains. A triad that the
+    freezes pin at the level blocks the next stage at once, with no pivot,
+    and freezes there; so does each level once every cycle sum is fixed.
+
+    The optimum is positively homogeneous in the known log entries, so the
+    run solves unit-free logs: the known logs divided by u, their largest
+    magnitude, and rounded to ``LOG_QUANTUM``. The completion is exp(u t) at
+    the missing pairs and each frozen TI exp(u bound). The quantum absorbs
+    the rounding of 1/alpha, so a DAG matrix is one LP input at every alpha.
+    The last run's result is kept with its input (unit-free logs and missing
+    mask) as the key, and a call with the same key reuses it instead of
+    solving again; the run reads nothing but the key, so the result is the
+    one a fresh run gives. One entry is kept because reuse comes from
+    consecutive calls on one structure (an alpha sweep, or lex with both
+    weightings of one matrix); more entries would only serve repeated
+    identical inputs.
 
     The audit lists frozen triads with TI = exp(bound), in freeze order,
     which is non-increasing, except that each run of consecutive freezes
@@ -346,7 +365,24 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
     """
     if a.is_complete:
         return a.to_complete(), []
-    state = build_lex_lp(a)
+    logs = np.log(np.where(a.known, a.entries, 1.0))
+    unit = float(np.max(np.abs(logs))) or 1.0
+    logs = np.round(logs / (unit * LOG_QUANTUM)) * LOG_QUANTUM
+    key = (a.known.tobytes(), logs.tobytes())
+    result = _memo.get(key)
+    if result is None:
+        result = _lex_run(build_lex_lp(a, logs))
+        _memo.clear()
+        _memo[key] = result
+    t, bounds, triads = result
+    filled = _fill(a, unit * t)
+    tis = _exp_tis(unit * bounds, triads).tolist()
+    audit = [FreezeRecord(tr, ti, stage) for stage, (tr, ti) in enumerate(zip(triads, tis), 1)]
+    return CompleteMatrix._trusted(filled), audit
+
+
+def _lex_run(state: LexLpState) -> tuple[np.ndarray, np.ndarray, list[TriadIndex]]:
+    """The lex run from ``state``: its t, and the frozen bounds and their triads in audit order."""
     zero = OBJ_RTOL * state.scale
     sol = solve_lp(state)
     order: list[int] = []  # triad positions in freeze order
@@ -360,17 +396,13 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
             break
         sol = solve_lp(state)
 
-    filled = _fill(a, sol.t)
     bounds, first, run, key = state.bound.tolist(), math.inf, 0, {}
     for p in order:  # a run: consecutive freezes within ``zero`` of its first bound
         if abs(bounds[p] - first) > zero:
             first, run = bounds[p], run + 1
         key[p] = (run, state.triads[p])
     canonical = sorted(order, key=key.__getitem__)
-    triads = [state.triads[p] for p in canonical]
-    tis = _exp_tis(state.bound[canonical], triads).tolist()
-    audit = [FreezeRecord(tr, ti, stage) for stage, (tr, ti) in enumerate(zip(triads, tis), 1)]
-    return CompleteMatrix._trusted(filled), audit
+    return sol.t, state.bound[canonical], [state.triads[p] for p in canonical]
 
 
 def _gci_logs(a: IncompleteMatrix) -> np.ndarray:

@@ -63,7 +63,13 @@ def loads_matrix(text: str) -> IncompleteMatrix:
     for r, tokens in enumerate(rows):
         if len(tokens) != n:
             raise ParseError(f"row {r + 1} has {len(tokens)} entries, expected {n}")
-        raw.append([parse_entry(tok) for tok in tokens])
+        row = []
+        for c, token in enumerate(tokens):
+            try:
+                row.append(parse_entry(token))
+            except ParseError as exc:
+                raise ParseError(f"{exc} at row {r + 1}, column {c + 1}") from None
+        raw.append(row)
     return validate_reciprocal(raw)
 
 

@@ -132,7 +132,7 @@ class TrialFailure:
     seed: int
     weighting: str
     violations: list[OrdinalViolation]
-    error: str | None
+    error: PcmError | None
     matrix_text: str
 
 
@@ -185,7 +185,7 @@ def verify_theorem1(
         g = random_cdag(n, density, trial_seed)
         a = dag_to_incomplete_matrix(g, alpha)
 
-        def failure(weighting: str, violations: list, error: str | None) -> TrialFailure:
+        def failure(weighting: str, violations: list, error: PcmError | None) -> TrialFailure:
             return TrialFailure(
                 trial, n, alpha, trial_seed, weighting, violations, error, dumps_matrix(a)
             )
@@ -193,14 +193,14 @@ def verify_theorem1(
         try:
             full = complete_matrix(a, "lex")
         except PcmError as exc:
-            solver_failures.append(failure("-", [], repr(exc)))
+            solver_failures.append(failure("-", [], exc))
             continue
         for weighting in WEIGHTINGS:
             audits += 1
             try:
                 w = derive_weights(full, weighting)
             except PcmError as exc:
-                solver_failures.append(failure(weighting, [], repr(exc)))
+                solver_failures.append(failure(weighting, [], exc))
                 continue
             violations = check_ordinal_violation(a, w)
             if violations:

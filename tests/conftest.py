@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import pcmlex.completion
 from pcmlex import IncompleteMatrix, build_dag, validate_reciprocal
 
 # Worked 4x4 instance: a12=2, a24=8, a23=a34=1, pairs (1,3) and (1,4) missing.
@@ -18,6 +19,12 @@ FIG2_ARCS_1BASED = [
     (1, 2), (1, 6), (1, 7), (2, 3), (2, 4), (3, 4),
     (3, 5), (4, 5), (4, 6), (5, 6), (5, 7),
 ]
+
+
+@pytest.fixture(autouse=True)
+def _empty_lex_memo():
+    """Each test starts with no lex result kept, whatever the tests before it solved."""
+    pcmlex.completion._memo.clear()
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from pcmlex.completion import lex_optimal_completion
 from pcmlex.errors import PcmError
 from pcmlex.fileio import dumps_dag, dumps_matrix, loads_dag, loads_matrix
 from pcmlex.graph import build_dag
+from pcmlex.harness import verify_theorem1
 
 from conftest import FIG2_ARCS_1BASED
 
@@ -227,6 +228,21 @@ class TestVerifyTheorem1Command:
         second = capsys.readouterr().out.split("elapsed")[0]
         assert first == second
 
+    def test_solver_failure_pair_one_based(self, capsys):
+        # at alpha = 1e300 a completed entry leaves float64; the failure keeps
+        # its 0-based pair, and the CLI prints it from 1 like the matrix below it
+        argv = ["--trials", "3", "--n-min", "6", "--n-max", "6", "--alphas", "1e300"]
+        code = main(["verify-theorem1", *argv])
+        out = capsys.readouterr().out
+        summary = verify_theorem1(3, 6, alphas=(1e300,), n_min=6)
+        errors = [f.error for f in summary.solver_failures]
+        overflow = [e for e in errors if getattr(e, "pair", None) == (0, 2)]
+        assert code == 1 and overflow
+        assert "CompletionOverflowError: log -1381.55 of the completed entry at pair (1, 3)" in out
+        assert "pair (0, 2)" not in out
+        for e in errors:
+            assert f"{type(e).__name__}: {e.render(1)}\n" in out
+
     @pytest.mark.parametrize(
         "argv,name",
         [
@@ -359,10 +375,12 @@ class TestMalformedInput:
              {"m": "3\n1 2\n3 3\n"}, ["vertex 3"], {"vertex": 2, "cycle": [2]}),
             (["check-violations", "{m}", "--weights", "{w}"],
              {"m": "2\n1 2\n0.5 1\n", "w": "1 x\n"}, ["w.txt", "weight 2", "'x'"], None),
+            (["complete", "{m}", "--method", "lex"], {"m": "3\n1 2 *\n1/2 1 x\n* 1 1\n"},
+             ["bad matrix entry 'x' at row 2, column 3"], None),
         ],
         ids=["negative-entry", "missing-diagonal", "diagonal-not-one", "asymmetric-missing",
              "reciprocity", "entry-overflow", "ti-overflow", "bidirectional-arc", "cycle",
-             "self-loop", "weights-bad-token"],
+             "self-loop", "weights-bad-token", "matrix-bad-token"],
     )
     def test_defect_position_one_based(self, tmp_path, capsys, command, files, names, fields):
         # the CLI numbers the defect as the file does; the library's error

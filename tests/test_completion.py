@@ -10,6 +10,7 @@ from pcmlex import (
     IncompleteMatrix,
     TriadIndex,
     all_triads,
+    alpha_grid,
     build_dag,
     cr_optimal_completion,
     dag_to_incomplete_matrix,
@@ -23,6 +24,7 @@ from pcmlex import (
     ratio_matrix,
     run_pipeline,
     saaty_lambda_max,
+    sweep_alpha,
     transitive_closure_matrix,
     validate_reciprocal,
 )
@@ -57,13 +59,18 @@ DISCONNECTED_4X4 = [
 ]
 
 
+def _lp(a):
+    """``build_lex_lp`` on a's own log entries, in the unit of the data."""
+    return build_lex_lp(a, np.log(np.where(a.known, a.entries, 1.0)))
+
+
 def _traced_lex(monkeypatch, a):
-    """Lex completion of ``a``: its run state and every stage's solution, in order."""
+    """Lex completion of ``a``, solved afresh: its run state and every stage's solution, in order."""
     states, stages = [], []
     build, stage_lp = completion.build_lex_lp, completion.solve_lp
 
-    def recording_build(a):
-        states.append(build(a))
+    def recording_build(*args):
+        states.append(build(*args))
         return states[-1]
 
     def recording_lp(state):
@@ -72,22 +79,27 @@ def _traced_lex(monkeypatch, a):
 
     monkeypatch.setattr(completion, "build_lex_lp", recording_build)
     monkeypatch.setattr(completion, "solve_lp", recording_lp)
+    completion._memo.clear()
     completion.lex_optimal_completion(a)
     return states[0], stages
 
 
 def _reordered_triads(mp, triads):
-    """Make ``build_lex_lp`` read ``triads`` as its triad table; return the states it builds."""
+    """Make ``build_lex_lp`` read ``triads`` as its triad table and the next lex call solve afresh.
+
+    Returns the states it builds.
+    """
     table = (tuple(triads), np.array(triads, dtype=int).reshape(-1, 3))
     states = []
     build = completion.build_lex_lp
 
-    def recording_build(a):
-        states.append(build(a))
+    def recording_build(*args):
+        states.append(build(*args))
         return states[-1]
 
     mp.setattr(completion, "_triad_table", lambda n: table)
     mp.setattr(completion, "build_lex_lp", recording_build)
+    completion._memo.clear()
     return states
 
 
@@ -119,7 +131,7 @@ def _stage_inputs():
 
 class TestBuildLexLp:
     def test_example2_structure(self, example2):
-        state = build_lex_lp(example2)
+        state = _lp(example2)
         assert example2.missing_pairs == ((0, 2), (0, 3))
         assert len(state.triads) == 4
         # four active triads, one absolute-value pair of rows each
@@ -127,11 +139,11 @@ class TestBuildLexLp:
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedComparisonGraphError):
-            build_lex_lp(validate_reciprocal(DISCONNECTED_4X4))
+            _lp(validate_reciprocal(DISCONNECTED_4X4))
 
     def test_single_missing_3x3(self):
         a = validate_reciprocal([[1, 2, None], [0.5, 1, 4], [None, 0.25, 1]])
-        state = build_lex_lp(a)
+        state = _lp(a)
         assert int(state.active.sum()) == 1
         sol = solve_lp(state)
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
@@ -147,7 +159,7 @@ class TestBuildLexLp:
         else:
             n = int(rng.integers(4, 9))
             a = random_incomplete(n, int(rng.integers(1, (n - 1) * (n - 2) // 2 + 1)), rng)
-        state = build_lex_lp(a)
+        state = _lp(a)
         t = rng.normal(scale=2.0, size=len(a.missing_pairs))
         rows, cols = np.array(a.missing_pairs).T
         logs = np.log(_with_pairs(a.entries, rows, cols, np.exp(t)))
@@ -159,7 +171,7 @@ class TestBuildLexLp:
 
 class TestSolveLp:
     def test_example2_first_stage(self, example2):
-        state = build_lex_lp(example2)
+        state = _lp(example2)
         sol = solve_lp(state)
         assert sol.objective == pytest.approx(LN8, abs=1e-8)
         assert sol.objective / LN2 == pytest.approx(3.0, abs=1e-8)
@@ -169,7 +181,7 @@ class TestSolveLp:
         assert active_sum == pytest.approx(-1.0, abs=1e-9)
 
     def test_example2_second_stage_unique(self, example2):
-        state = build_lex_lp(example2)
+        state = _lp(example2)
         first = solve_lp(state)
         pos = state.triads.index(TriadIndex(1, 2, 3))
         state.freeze(pos, first.objective)
@@ -179,7 +191,7 @@ class TestSolveLp:
         assert second.t[example2.missing_pairs.index((0, 3))] / LN2 == pytest.approx(3.0, abs=1e-7)
 
     def test_every_triad_frozen_objective_zero(self, example2):
-        state = build_lex_lp(example2)
+        state = _lp(example2)
         for pos in range(len(state.triads)):
             state.freeze(pos, 5.0)
         sol = solve_lp(state)
@@ -189,7 +201,7 @@ class TestSolveLp:
     def test_tree_objective_zero(self):
         rng = np.random.default_rng(3)
         a = random_tree_matrix(5, rng)
-        sol = solve_lp(build_lex_lp(a))
+        sol = solve_lp(_lp(a))
         assert sol.objective <= 1e-9
 
     @pytest.mark.parametrize("dag,alpha", _warm_start_inputs())
@@ -329,8 +341,10 @@ class TestSolveLp:
         a = dag_to_incomplete_matrix(random_cdag(10, 0.3, 123), 5.0)
         state, _ = _traced_lex(monkeypatch, a)
         monkeypatch.setattr(completion, "MAX_PIVOTS", state.pivots)
+        completion._memo.clear()
         completion.lex_optimal_completion(a)
         monkeypatch.setattr(completion, "MAX_PIVOTS", state.pivots - 1)
+        completion._memo.clear()
         with pytest.raises(ConvergenceFailureError, match="pivots"):
             completion.lex_optimal_completion(a)
 
@@ -381,7 +395,7 @@ class TestSolveLp:
         rng = np.random.default_rng(5)
         for _ in range(15):
             a = random_incomplete(int(rng.integers(4, 6)), 2, rng)
-            sol = solve_lp(build_lex_lp(a))
+            sol = solve_lp(_lp(a))
             assert sol.feasibility_residual <= 1e-9
             assert sol.duality_gap <= 1e-7
 
@@ -627,6 +641,88 @@ class TestLexAtScale:
         state, stages = _traced_lex(monkeypatch, self._matrix(15))
         assert state.stages == len(stages) <= 80
         assert state.pivots <= 100
+
+
+def _counting_builds(monkeypatch):
+    """Count ``build_lex_lp`` calls, so the lex runs that were solved and not reused."""
+    calls = []
+    build = completion.build_lex_lp
+
+    def counting(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(completion, "build_lex_lp", counting)
+    return calls
+
+
+class TestLexMemo:
+    """The last lex run is kept by its unit-free input and reused by an equal one."""
+
+    @staticmethod
+    def _bytes(result):
+        m, audit = result
+        return m.entries.tobytes(), [(f.triad, f.ti, f.stage) for f in audit]
+
+    def test_hit_is_bitwise_a_fresh_solve(self, monkeypatch, fig2_dag):
+        # memo empty, holding the same input, holding another input; and at
+        # alpha = 5 reached from the memo of alpha = 2, whose unit-free logs are equal
+        builds = _counting_builds(monkeypatch)
+        rng = np.random.default_rng(211)
+        a, b = random_incomplete(6, 4, rng), random_incomplete(6, 4, rng)
+        fresh = self._bytes(lex_optimal_completion(a))
+        assert self._bytes(lex_optimal_completion(a)) == fresh
+        lex_optimal_completion(b)
+        assert self._bytes(lex_optimal_completion(a)) == fresh
+        assert len(builds) == 3 and len(completion._memo) == 1
+
+        at5 = dag_to_incomplete_matrix(fig2_dag, 5.0)
+        completion._memo.clear()
+        fresh = self._bytes(lex_optimal_completion(at5))
+        lex_optimal_completion(dag_to_incomplete_matrix(fig2_dag, 2.0))
+        before = len(builds)
+        assert self._bytes(lex_optimal_completion(at5)) == fresh
+        assert len(builds) == before
+
+        # a known 1 and a missing pair both have log 0: the mask tells them apart
+        two_missing = [[1, 1, None, 1], [1, 1, 1, None], [None, 1, 1, 1], [1, None, 1, 1]]
+        one_missing = [[1, 1, None, 1], [1, 1, 1, 1], [None, 1, 1, 1], [1, 1, 1, 1]]
+        for raw in (two_missing, one_missing):
+            m, _ = lex_optimal_completion(validate_reciprocal(raw))
+            assert np.array_equal(m.entries, np.ones((4, 4)))
+        assert len(builds) == before + 2
+
+    def test_one_solve_per_alpha_sweep(self, monkeypatch, fig2_dag):
+        perm = [3, 6, 0, 5, 1, 4, 2]
+        relabelled = build_dag(7, [(perm[i], perm[j]) for i, j in fig2_dag.arcs])
+        builds = _counting_builds(monkeypatch)
+        rows = sweep_alpha(fig2_dag, "lex", "em")
+        assert len(rows) == 90 and all(r.n_violations == 0 for r in rows)
+        assert len(builds) == 1
+        for alpha in alpha_grid():
+            lex_optimal_completion(dag_to_incomplete_matrix(relabelled, alpha))
+        assert len(builds) == 2
+        # two graphs in turn: each call's input differs from the one kept
+        for alpha in alpha_grid():
+            for g in (fig2_dag, relabelled):
+                lex_optimal_completion(dag_to_incomplete_matrix(g, alpha))
+        assert len(builds) == 2 + 2 * 90
+
+    def test_hit_raises_the_overflow_of_a_fresh_solve(self, monkeypatch):
+        # the chain 0 > 1 > 2 at alpha = 1e300 completes a_02 = alpha^2, beyond
+        # float64: a fresh solve, then hits after the same input and after alpha = 2
+        g = build_dag(3, [(0, 1), (1, 2)])
+        builds = _counting_builds(monkeypatch)
+        errors = []
+        for alpha in (1e300, 1e300, 2.0, 1e300):
+            try:
+                m, _ = lex_optimal_completion(dag_to_incomplete_matrix(g, alpha))
+            except CompletionOverflowError as exc:
+                errors.append(exc)
+        assert len(builds) == 1
+        assert m[0, 2] == pytest.approx(4.0, rel=1e-12)
+        assert errors[0].pair == (0, 2)
+        assert [(e.pair, str(e)) for e in errors] == [(errors[0].pair, str(errors[0]))] * 3
 
 
 @pytest.mark.parametrize(
