@@ -5,12 +5,13 @@
   log variables of the missing entries are one parametric run on one
   tableau, one column per missing entry: the level falls by dual-simplex
   pivots until a row certifies it, the triads that certificate prices
-  freeze, and the run goes on from the same basis. Each stage's primal
-  residual and duality gap are computed only when read. The run solves
-  unit-free logs, the known logs over their largest magnitude rounded to
-  ``LOG_QUANTUM``, so a DAG matrix is one input at every alpha. Only the
-  last run is kept, as reuse comes from consecutive calls on one input:
-  an alpha sweep, or a second weighting of one matrix;
+  freeze, and the run goes on from the same basis. A stage yields only its
+  level and the triads its certificate prices; the point is read once,
+  after the last stage, and the last stage reads no certificate. The run
+  solves unit-free logs, the known logs over their largest magnitude
+  rounded to ``LOG_QUANTUM``, so a DAG matrix is one input at every
+  alpha. Only the last run is kept, as reuse comes from consecutive calls
+  on one input: an alpha sweep, or a second weighting of one matrix;
 * GCI-optimal: each missing log entry is y_i - y_j, for y the incomplete
   log-least-squares log weights, so no weight is formed;
 * CR-optimal: missing entries minimize the dominant eigenvalue, found by
@@ -22,8 +23,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +73,10 @@ class LexLpState:
     x[nonbasic]. Labels are t 0..m-1, then the slack of row r at m + r. A
     nonbasic t is 0; a t that enters the basis never leaves it, as t has no
     sign to keep. The run starts at t = 0, w = 0 with every slack basic,
-    feasible as z0 bounds every |const|. ``t`` and ``w`` are the point
-    reached; ``pivots`` and ``stages`` count pivots and certificates.
+    feasible as z0 bounds every |const|. ``w`` is where the run stands;
+    the point t there is not kept, as each basic t reads off its row, and
+    ``_lex_run`` reads it once, after the last stage. ``pivots`` and
+    ``stages`` count pivots and certificates.
     """
 
     triads: tuple[TriadIndex, ...]
@@ -81,13 +84,13 @@ class LexLpState:
     const: np.ndarray  # (T,) known part of each cycle sum (natural log)
     scale: float  # max |const|: z0, the level at t = 0, so an upper bound on every stage's
     bound: np.ndarray  # (T,) frozen bound on |cycle sum|, NaN while active
-    t: np.ndarray  # (m,) log values reached by the run, in the matrix's missing_pairs order
     tab: np.ndarray  # (2T, m + 2) condensed tableau: nonbasic columns, value, rate
     basic: np.ndarray  # (2T,) label of each row's basic variable
     nonbasic: np.ndarray  # (m,) label of each nonbasic column
     leaves: np.ndarray  # (2T,) bool by row: the basic variable is an active slack, so may leave
     lo: np.ndarray  # (m,) by column: an entry below it may enter; -inf for a frozen slack
     hi: np.ndarray  # (m,) by column: an entry above it may enter; inf for any slack
+    labels: np.ndarray  # (m + 2T,) bool by label: freeze's scratch mask, all False between calls
     w: float = 0.0
     pivots: int = 0
     stages: int = 0
@@ -98,19 +101,18 @@ class LexLpState:
         return np.isnan(self.bound)
 
     def freeze(self, pos: int | np.ndarray, bound: float) -> None:
-        """Freeze the active triads at ``pos`` at ``bound``: their rows lose the w term.
+        """Freeze the triads at ``pos``, all active, at ``bound``: their rows lose the w term.
 
         Dropping row r's w term at level w_f = z0 - bound adds B^-1 e_r, the
         tableau column of row r's slack, times (-w_f, -1) to the (value,
         rate) columns: the stored column if that slack is nonbasic, a unit
         vector if it is basic. The frozen slacks' columns are summed first.
         """
-        pos = np.atleast_1d(pos)
-        pos = pos[np.isnan(self.bound[pos])]
         self.bound[pos] = bound
-        frozen = np.zeros(len(self.t) + len(self.basic), bool)  # by label
-        frozen[len(self.t) :].reshape(-1, 2)[pos] = True  # by triad, its two rows' slacks
-        in_rows, in_cols = frozen[self.basic], frozen[self.nonbasic]
+        slacks = self.labels[len(self.nonbasic) :].reshape(-1, 2)  # by triad, its two rows'
+        slacks[pos] = True
+        in_rows, in_cols = self.labels[self.basic], self.labels[self.nonbasic]
+        slacks[pos] = False
         self.leaves[in_rows] = False
         self.lo[in_cols] = -np.inf
         column = self.tab.take(in_cols.nonzero()[0], axis=1).sum(axis=1)
@@ -122,44 +124,7 @@ class LexLpState:
         return self.const + self.coef @ t
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    """One stage of the run: its level, the point reached and the certificate's duals.
-
-    ``feasibility_residual`` and ``duality_gap`` are computed when first
-    read, from the stage's own data in ``_stage``: the state's ``coef``,
-    ``const`` and ``scale``, the stage's w, a copy of the bounds it saw and
-    the certificate's per-triad slack sums ``pair`` (plus + minus row) and
-    ``diff`` (plus - minus). A stage with no certificate has none, and
-    reads 0 for both.
-    """
-
-    objective: float
-    t: np.ndarray  # log values in missing_pairs order
-    duals: np.ndarray  # (T,) dual on each triad's bounding pair (<= 0)
-    _stage: tuple | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def feasibility_residual(self) -> float:
-        """Largest |cycle sum| above the level on an active triad, or off its bound on a frozen one."""
-        if self._stage is None:
-            return 0.0
-        coef, const, _, _, bound, _, _ = self._stage
-        abs_s = np.abs(const + coef @ self.t)
-        off = np.where(np.isnan(bound), abs_s - self.objective, np.abs(abs_s - bound))
-        return float(np.max(off, initial=0.0))
-
-    @cached_property
-    def duality_gap(self) -> float:
-        """|y @ rhs - w| for the certificate's combination y of the original rows."""
-        if self._stage is None:
-            return 0.0
-        _, const, z0, w, bound, pair, diff = self._stage
-        return abs(pair @ np.where(np.isnan(bound), z0, bound) - diff @ const - w)
-
-
-@dataclass(frozen=True)
-class FreezeRecord:
+class FreezeRecord(NamedTuple):
     """One Algorithm-iteration freeze: triad pinned at its minimal TI."""
 
     triad: TriadIndex
@@ -202,13 +167,13 @@ def build_lex_lp(a: IncompleteMatrix, logs: np.ndarray) -> LexLpState:
         const=const,
         scale=z0,
         bound=np.full(n_triads, np.nan),
-        t=np.zeros(m),
         tab=tab,
         basic=np.arange(m, m + 2 * n_triads),
         nonbasic=np.arange(m),
         leaves=np.ones(2 * n_triads, bool),
         lo=np.full(m, -PIVOT_TOL),
         hi=np.full(m, PIVOT_TOL),
+        labels=np.zeros(m + 2 * n_triads, bool),
     )
 
 
@@ -218,7 +183,7 @@ def _pivot(state: LexLpState, row: int, enter: int) -> None:
     The leaving variable is an active slack. An entering t holds the row
     for good, and the column now holds a slack.
     """
-    if state.nonbasic[enter] < len(state.t):
+    if state.nonbasic[enter] < len(state.nonbasic):
         state.leaves[row] = False
         state.hi[enter] = np.inf
     tab = state.tab
@@ -232,7 +197,7 @@ def _pivot(state: LexLpState, row: int, enter: int) -> None:
     state.pivots += 1
 
 
-def solve_lp(state: LexLpState) -> LpSolution:
+def solve_lp(state: LexLpState) -> tuple[float, np.ndarray]:
     """Advance the run to its next certificate: one stage of the lex scheme.
 
     Raising w (lowering the level z = z0 - w) from ``state.w``, row i's
@@ -253,19 +218,19 @@ def solve_lp(state: LexLpState) -> LpSolution:
     active part summing to 1. The stage's dual is the mean over every tied
     certificate, so it prices what any of them does.
 
-    Triad duals are minus the sum over the triad's two rows (<= 0), and 0
-    on frozen triads. The point is written to ``state.t`` and ``state.w``.
-    With every triad frozen there is no level: the objective is 0 and the
-    run does not move. The stage's diagnostics are left to ``LpSolution``,
-    which computes them only when read.
+    Returns the stage's level z0 - w and the positions, ascending, of the
+    active triads the certificate prices: those whose dual, the sum over
+    the triad's two rows, exceeds ``DUAL_TOL``. A stage at or below
+    ``OBJ_RTOL`` times z0 freezes nothing, so its certificate is not read
+    and no triad is returned. Nor is one where nothing blocks: the run does
+    not move, and the level is the last stage's, or 0 with every triad
+    frozen. The stage's w is written to ``state.w``; its point is left in
+    the tableau (see ``LexLpState``).
 
     Raises:
         ConvergenceFailureError: the run needs more than ``MAX_PIVOTS`` pivots.
     """
-    active = state.active
-    if not active.any():
-        return LpSolution(0.0, state.t, np.zeros(len(active)))
-    z0, m = state.scale, len(state.t)
+    z0, m = state.scale, len(state.nonbasic)
     tie = RATIO_TIE_TOL * z0  # w stays within [0, z0]
     tab, basic, nonbasic = state.tab, state.basic, state.nonbasic
     leaves, lo, hi = state.leaves, state.lo, state.hi
@@ -274,14 +239,15 @@ def solve_lp(state: LexLpState) -> LpSolution:
         rate = tab[:, -1]
         ratios.fill(np.inf)
         np.divide(tab[:, -2], rate, out=ratios, where=leaves & (rate > PIVOT_TOL))
-        w = ratios.min()
-        if w == np.inf:  # nothing blocks: no certificate to read duals from
-            return LpSolution(z0 - state.w, state.t, np.zeros(len(active)))
+        w = ratios[ratios.argmin()]  # the min, at a fraction of ratios.min()'s call cost
+        if w == np.inf:  # nothing blocks, as when every triad is frozen: no certificate
+            return (z0 - state.w if np.isnan(state.bound).any() else 0.0), np.empty(0, int)
         tied = (ratios <= w + tie).nonzero()[0]
         entries = tab.take(tied, axis=0)[:, :-2]
-        eligible = (entries < lo) | (entries > hi)  # either sign on t, negative on a slack
+        eligible = entries < lo  # either sign on t, negative on a slack
+        eligible |= entries > hi
         pivotable = eligible.any(axis=1)
-        if not pivotable.all():
+        if np.count_nonzero(pivotable) < len(tied):  # a row with none eligible: a certificate
             break
         if state.pivots >= MAX_PIVOTS:
             raise ConvergenceFailureError(f"lexicographic run exceeded {MAX_PIVOTS} pivots")
@@ -289,13 +255,11 @@ def solve_lp(state: LexLpState) -> LpSolution:
         enter = np.where(eligible[leave], nonbasic, m + len(basic)).argmin()  # smallest label
         _pivot(state, int(tied[leave]), int(enter))
 
-    t_rows = (basic < m).nonzero()[0]
-    value, rate = tab.take(t_rows, axis=0)[:, -2:].T
-    state.t = np.zeros(m)
-    state.t[basic[t_rows]] = value - w * rate
     state.w = float(w)
     state.stages += 1
-
+    level = z0 - state.w
+    if level <= OBJ_RTOL * z0:  # the last stage: nothing freezes at level zero
+        return level, np.empty(0, int)
     # each certificate's basic variable is an active slack
     certificates = tied[~pivotable]
     rows = tab.take(certificates, axis=0)
@@ -303,14 +267,8 @@ def solve_lp(state: LexLpState) -> LpSolution:
     y = np.zeros(m + len(basic))  # by label; the t part is 0 up to rounding
     y[nonbasic] = share @ rows[:, :-2]
     y[basic[certificates]] += share
-    plus, minus = y[m::2], y[m + 1 :: 2]  # the slacks of each triad's two rows
-    pair = plus + minus
-    return LpSolution(
-        objective=z0 - state.w,
-        t=state.t,
-        duals=np.where(active, -pair, 0.0),
-        _stage=(state.coef, state.const, z0, state.w, state.bound.copy(), pair, plus - minus),
-    )
+    priced = (np.abs(y[m::2] + y[m + 1 :: 2]) > DUAL_TOL).nonzero()[0]  # by triad, both rows
+    return level, priced[np.isnan(state.bound[priced])]
 
 
 def _fill(a: IncompleteMatrix, t: np.ndarray) -> np.ndarray:
@@ -382,27 +340,39 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
 
 
 def _lex_run(state: LexLpState) -> tuple[np.ndarray, np.ndarray, list[TriadIndex]]:
-    """The lex run from ``state``: its t, and the frozen bounds and their triads in audit order."""
-    zero = OBJ_RTOL * state.scale
-    sol = solve_lp(state)
-    order: list[int] = []  # triad positions in freeze order
-    while sol.objective > zero:
-        batch = (np.abs(sol.duals) > DUAL_TOL).nonzero()[0]  # duals are 0 on frozen triads
-        if not batch.size:  # the active duals of a certificate sum to -1
-            raise NoBindingDualFoundError(f"objective {sol.objective:.3e} > 0, no triad tight")
-        state.freeze(batch, sol.objective)
-        order.extend(batch.tolist())
-        if not state.active.any():
-            break
-        sol = solve_lp(state)
+    """The lex run from ``state``: its t, and the frozen bounds and their triads in audit order.
 
+    Stages run until one ends at level zero or every triad is frozen; the
+    last batch then only records its bound, as no stage reads the rows
+    again. t is read off the tableau once, at the last stage's w.
+    """
+    zero = OBJ_RTOL * state.scale
+    active = len(state.triads)  # count of active triads
+    order: list[int] = []  # triad positions in freeze order
+    level, batch = solve_lp(state)
+    while level > zero:
+        if not batch.size:  # the active duals of a certificate sum to 1
+            raise NoBindingDualFoundError(f"objective {level:.3e} > 0, no triad tight")
+        order.extend(batch.tolist())
+        active -= batch.size
+        if not active:
+            state.bound[batch] = level
+            break
+        state.freeze(batch, level)
+        level, batch = solve_lp(state)
+
+    m, basic = len(state.nonbasic), state.basic
+    t_rows = (basic < m).nonzero()[0]
+    value, rate = state.tab.take(t_rows, axis=0)[:, -2:].T
+    t = np.zeros(m)
+    t[basic[t_rows]] = value - state.w * rate
     bounds, first, run, key = state.bound.tolist(), math.inf, 0, {}
     for p in order:  # a run: consecutive freezes within ``zero`` of its first bound
         if abs(bounds[p] - first) > zero:
             first, run = bounds[p], run + 1
         key[p] = (run, state.triads[p])
     canonical = sorted(order, key=key.__getitem__)
-    return sol.t, state.bound[canonical], [state.triads[p] for p in canonical]
+    return t, state.bound[canonical], [state.triads[p] for p in canonical]
 
 
 def _gci_logs(a: IncompleteMatrix) -> np.ndarray:

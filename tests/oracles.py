@@ -3,15 +3,18 @@
 Everything here goes through routes the library does not use: power
 iteration or characteristic polynomials instead of a dense eigensolver,
 exhaustive grids or SciPy's HiGHS instead of the in-house simplex, and grids
-instead of the quasi-Newton CR solve.
+instead of the quasi-Newton CR solve. ``lex_stage`` reads one stage of the
+lex run off its tableau, for the checks the run itself does not make.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
 from pcmlex import IncompleteMatrix
+from pcmlex.simplex import PIVOT_TOL, RATIO_TIE_TOL
 
 
 def power_iteration_reference(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -64,6 +67,80 @@ def perron_root_batch(mats: np.ndarray) -> np.ndarray:
             return x
         x = np.minimum(nxt, x)
     raise RuntimeError("Newton iteration on the characteristic polynomial did not settle")
+
+
+@dataclass(frozen=True)
+class LexStage:
+    """One stage of the lex run: what ``solve_lp`` returned and what its tableau shows.
+
+    ``feasibility_residual`` and ``duality_gap`` are computed when read,
+    from the stage's own data in ``_stage``: the state's ``coef``,
+    ``const`` and ``scale``, the stage's w, a copy of the bounds it saw and
+    the certificate's per-triad slack sums ``pair`` (plus + minus row) and
+    ``diff`` (plus - minus). A stage with no certificate has none, and
+    reads 0 for both.
+    """
+
+    objective: float  # the level solve_lp returned
+    priced: np.ndarray  # the triad positions solve_lp returned
+    t: np.ndarray  # the point at the stage's w, in missing_pairs order
+    duals: np.ndarray  # (T,) dual on each triad's bounding pair (<= 0), 0 on a frozen one
+    _stage: tuple | None
+
+    @property
+    def feasibility_residual(self) -> float:
+        """Largest |cycle sum| above the level on an active triad, or off its bound on a frozen one."""
+        if self._stage is None:
+            return 0.0
+        coef, const, _, _, bound, _, _ = self._stage
+        abs_s = np.abs(const + coef @ self.t)
+        off = np.where(np.isnan(bound), abs_s - self.objective, np.abs(abs_s - bound))
+        return float(np.max(off, initial=0.0))
+
+    @property
+    def duality_gap(self) -> float:
+        """|y @ rhs - w| for the certificate's combination y of the original rows."""
+        if self._stage is None:
+            return 0.0
+        _, const, z0, w, bound, pair, diff = self._stage
+        return abs(pair @ np.where(np.isnan(bound), z0, bound) - diff @ const - w)
+
+
+def lex_stage(state, result: tuple[float, np.ndarray]) -> LexStage:
+    """The stage that ``completion.solve_lp(state)`` just ran, returning ``result``.
+
+    Read before the run freezes anything. The point is each basic t's row at
+    the stage's w. The certificate is every blocking row with no eligible
+    entry, found by the stage's own ratio test on the tableau it stopped
+    at; its duals are the mean of those rows' slack entries over their
+    rates, so also on a last stage, whose certificate the run does not read.
+    Where nothing blocks there is no certificate and the duals are 0.
+    """
+    level, priced = result
+    tab, basic, nonbasic = state.tab, state.basic, state.nonbasic
+    m, z0, active = len(nonbasic), state.scale, np.isnan(state.bound)
+    t_rows = (basic < m).nonzero()[0]
+    value, rate = tab.take(t_rows, axis=0)[:, -2:].T
+    t = np.zeros(m)
+    t[basic[t_rows]] = value - state.w * rate
+    rate = tab[:, -1]
+    ratios = np.full(len(basic), np.inf)
+    np.divide(tab[:, -2], rate, out=ratios, where=state.leaves & (rate > PIVOT_TOL))
+    w = ratios.min()
+    if w == np.inf:
+        return LexStage(level, priced, t, np.zeros(len(active)), None)
+    tied = (ratios <= w + RATIO_TIE_TOL * z0).nonzero()[0]
+    entries = tab.take(tied, axis=0)[:, :-2]
+    certificates = tied[~((entries < state.lo) | (entries > state.hi)).any(axis=1)]
+    rows = tab.take(certificates, axis=0)
+    share = 1.0 / (rows[:, -1] * len(certificates))
+    y = np.zeros(m + len(basic))  # by label
+    y[nonbasic] = share @ rows[:, :-2]
+    y[basic[certificates]] += share
+    plus, minus = y[m::2], y[m + 1 :: 2]
+    pair = plus + minus
+    stage = (state.coef, state.const, z0, state.w, state.bound.copy(), pair, plus - minus)
+    return LexStage(level, priced, t, np.where(active, -pair, 0.0), stage)
 
 
 def cycle_structure(a: IncompleteMatrix):

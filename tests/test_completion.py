@@ -43,6 +43,7 @@ from oracles import (
     cr_lambda_grid_oracle,
     lex_highs_oracle,
     lex_less_equal,
+    lex_stage,
     lex_ti_grid_oracle,
     perron_root_batch,
     power_iteration_reference,
@@ -65,7 +66,7 @@ def _lp(a):
 
 
 def _traced_lex(monkeypatch, a):
-    """Lex completion of ``a``, solved afresh: its run state and every stage's solution, in order."""
+    """Lex completion of ``a``, solved afresh: its run state and every stage, in order."""
     states, stages = [], []
     build, stage_lp = completion.build_lex_lp, completion.solve_lp
 
@@ -74,8 +75,9 @@ def _traced_lex(monkeypatch, a):
         return states[-1]
 
     def recording_lp(state):
-        stages.append(stage_lp(state))
-        return stages[-1]
+        result = stage_lp(state)
+        stages.append(lex_stage(state, result))
+        return result
 
     monkeypatch.setattr(completion, "build_lex_lp", recording_build)
     monkeypatch.setattr(completion, "solve_lp", recording_lp)
@@ -145,7 +147,7 @@ class TestBuildLexLp:
         a = validate_reciprocal([[1, 2, None], [0.5, 1, 4], [None, 0.25, 1]])
         state = _lp(a)
         assert int(state.active.sum()) == 1
-        sol = solve_lp(state)
+        sol = lex_stage(state, solve_lp(state))
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         # the single free variable zeroes the only cycle sum: x13 = 2 * 4
         assert math.exp(sol.t[a.missing_pairs.index((0, 2))]) == pytest.approx(8.0, rel=1e-8)
@@ -172,7 +174,7 @@ class TestBuildLexLp:
 class TestSolveLp:
     def test_example2_first_stage(self, example2):
         state = _lp(example2)
-        sol = solve_lp(state)
+        sol = lex_stage(state, solve_lp(state))
         assert sol.objective == pytest.approx(LN8, abs=1e-8)
         assert sol.objective / LN2 == pytest.approx(3.0, abs=1e-8)
         # the constant triad (2,3,4) carries the whole (negative) price
@@ -182,10 +184,11 @@ class TestSolveLp:
 
     def test_example2_second_stage_unique(self, example2):
         state = _lp(example2)
-        first = solve_lp(state)
+        first = lex_stage(state, solve_lp(state))
         pos = state.triads.index(TriadIndex(1, 2, 3))
+        assert first.priced.tolist() == [pos]
         state.freeze(pos, first.objective)
-        second = solve_lp(state)
+        second = lex_stage(state, solve_lp(state))
         assert second.objective == pytest.approx(LN2, abs=1e-8)
         assert second.t[example2.missing_pairs.index((0, 2))] / LN2 == pytest.approx(2.0, abs=1e-7)
         assert second.t[example2.missing_pairs.index((0, 3))] / LN2 == pytest.approx(3.0, abs=1e-7)
@@ -194,14 +197,15 @@ class TestSolveLp:
         state = _lp(example2)
         for pos in range(len(state.triads)):
             state.freeze(pos, 5.0)
-        sol = solve_lp(state)
+        sol = lex_stage(state, solve_lp(state))
         assert sol.objective == 0.0
         assert np.array_equal(sol.t, np.zeros(2))
 
     def test_tree_objective_zero(self):
         rng = np.random.default_rng(3)
         a = random_tree_matrix(5, rng)
-        sol = solve_lp(_lp(a))
+        state = _lp(a)
+        sol = lex_stage(state, solve_lp(state))
         assert sol.objective <= 1e-9
 
     @pytest.mark.parametrize("dag,alpha", _warm_start_inputs())
@@ -209,21 +213,25 @@ class TestSolveLp:
         # every stage starts where the last one ended, at a primal-feasible
         # basis (every basic slack >= 0; a basic t is free); it ends at a
         # certificate whose duals price only triads at the level, and whose
-        # residual and gap on the original rows are small
+        # residual and gap on the original rows are small; the stage returns
+        # the triads its certificate prices, and none on the last stage
         stage_lp = completion.solve_lp
         stages = []
 
         def checking_lp(state):
             x = state.tab[:, -2] - state.w * state.tab[:, -1]
-            slack = state.basic >= len(state.t)
+            slack = state.basic >= len(state.nonbasic)
             assert np.all(x[slack] >= -1e-9 * state.scale)
-            sol = stage_lp(state)
+            result = stage_lp(state)
+            sol = lex_stage(state, result)
             stages.append(sol)
             priced = np.abs(sol.duals) > completion.DUAL_TOL
             s = np.abs(state.cycle_sums(sol.t))
             assert np.all(np.abs(s[priced] - sol.objective) <= 1e-9 * state.scale)
             assert sol.duals.sum() == pytest.approx(-1.0, abs=1e-9)
-            return sol
+            last = sol.objective <= completion.OBJ_RTOL * state.scale
+            assert sol.priced.tolist() == ([] if last else priced.nonzero()[0].tolist())
+            return result
 
         monkeypatch.setattr(completion, "solve_lp", checking_lp)
         completion.lex_optimal_completion(dag_to_incomplete_matrix(dag, alpha))
@@ -243,12 +251,13 @@ class TestSolveLp:
             freezes.append(bound)
 
         def checking_lp(state):
-            sol = stage_lp(state)
+            result = stage_lp(state)
+            sol = lex_stage(state, result)
             frozen = ~state.active
             s = np.abs(state.cycle_sums(sol.t)[frozen])
             assert np.all(np.abs(s - state.bound[frozen]) <= completion.OBJ_RTOL * state.scale)
             later.append(int(frozen.sum()))
-            return sol
+            return result
 
         monkeypatch.setattr(completion.LexLpState, "freeze", counting_freeze)
         monkeypatch.setattr(completion, "solve_lp", checking_lp)
@@ -261,22 +270,24 @@ class TestSolveLp:
         # blocks the next stage at once: that stage keeps the level, takes no
         # pivot and prices every such triad
         stage_lp = completion.solve_lp
-        levels = []
+        levels, points = [], []
 
         def checking_lp(state):
             pinned = np.zeros(len(state.triads), bool)
             if levels:
-                s = np.abs(state.cycle_sums(state.t))
+                s = np.abs(state.cycle_sums(points[-1]))  # at the last stage's point
                 at_level = np.abs(s - levels[-1]) <= completion.OBJ_RTOL * state.scale
                 pinned = state.active & _fixed(state) & at_level
             pivots = state.pivots
-            sol = stage_lp(state)
+            result = stage_lp(state)
+            sol = lex_stage(state, result)
             levels.append(sol.objective)
+            points.append(sol.t)
             if pinned.any():
                 assert state.pivots == pivots
                 assert abs(sol.objective - levels[-2]) <= completion.OBJ_RTOL * state.scale
                 assert np.all(np.abs(sol.duals[pinned]) > completion.DUAL_TOL)
-            return sol
+            return result
 
         monkeypatch.setattr(completion, "solve_lp", checking_lp)
         _, audit = completion.lex_optimal_completion(a)
@@ -293,11 +304,11 @@ class TestSolveLp:
         def checking_lp(state):
             all_fixed = bool(np.all(_fixed(state)))
             pivots = state.pivots
-            sol = stage_lp(state)
+            result = stage_lp(state)
             calls.append(state.pivots - pivots)
             if all_fixed:
                 idle.append(state.pivots - pivots)
-            return sol
+            return result
 
         monkeypatch.setattr(completion, "solve_lp", checking_lp)
         state, stages = _traced_lex(monkeypatch, a)
@@ -307,20 +318,21 @@ class TestSolveLp:
 
     @pytest.mark.parametrize("a", _stage_inputs())
     def test_diagnostics_read_after_the_run_are_the_stages_own(self, monkeypatch, a):
-        # the residual and gap are computed when first read; read only after
-        # the whole run, each is still its stage's value, not one computed
-        # with the bounds of triads frozen later
+        # the residual and gap are computed when read; read only after the
+        # whole run, each is still its stage's value, not one computed with
+        # the bounds of triads frozen later
         stage_lp = completion.solve_lp
         stages, expected = [], []
 
         def recording_lp(state):
-            sol = stage_lp(state)
+            result = stage_lp(state)
+            sol = lex_stage(state, result)
             s = np.abs(state.cycle_sums(sol.t))
             off = np.where(state.active, s - sol.objective, np.abs(s - state.bound))
-            # a copy with an empty cache reads the stage's data now
+            # a copy reads the stage's data now
             expected.append((float(np.max(off, initial=0.0)), dataclasses.replace(sol).duality_gap))
             stages.append(sol)
-            return sol
+            return result
 
         monkeypatch.setattr(completion, "solve_lp", recording_lp)
         completion.lex_optimal_completion(a)
@@ -383,8 +395,8 @@ class TestSolveLp:
             calls.append(1)
             if len(calls) > 5:
                 raise AssertionError("lex loop re-solved an unchanged stage")
-            sol = solve_lp(state)
-            return completion.LpSolution(0.5 * sol.objective, sol.t, np.zeros_like(sol.duals))
+            level, _ = solve_lp(state)
+            return 0.5 * level, np.empty(0, int)
 
         monkeypatch.setattr(completion, "solve_lp", unpriced_lp)
         with pytest.raises(NoBindingDualFoundError):
@@ -395,12 +407,25 @@ class TestSolveLp:
         rng = np.random.default_rng(5)
         for _ in range(15):
             a = random_incomplete(int(rng.integers(4, 6)), 2, rng)
-            sol = solve_lp(_lp(a))
+            state = _lp(a)
+            sol = lex_stage(state, solve_lp(state))
             assert sol.feasibility_residual <= 1e-9
             assert sol.duality_gap <= 1e-7
 
 
 class TestLexCompletion:
+    def test_freeze_record_fields_repr_immutable(self, example2):
+        _, audit = lex_optimal_completion(example2)
+        rec = audit[0]
+        assert isinstance(rec, completion.FreezeRecord)
+        assert (rec.triad, rec.stage) == (TriadIndex(1, 2, 3), 1)
+        assert rec.ti == pytest.approx(8.0, rel=1e-12)
+        assert repr(rec) == f"FreezeRecord(triad=TriadIndex(i=1, j=2, k=3), ti={rec.ti!r}, stage=1)"
+        for field, value in (("triad", TriadIndex(0, 1, 2)), ("ti", 1.0), ("stage", 2)):
+            with pytest.raises(AttributeError):
+                setattr(rec, field, value)
+        assert rec == audit[0] and hash(rec) == hash(audit[0])
+
     def test_overflow_raises_before_exp(self):
         # on the chain 0 > 1 > 2, a_02 = alpha^2: at alpha = 1e300 its log,
         # 1381.55, is beyond float64, so the fill would warn and return inf

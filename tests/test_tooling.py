@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pcmlex
+import pcmlex.completion as completion_module
 import pcmlex.harness as harness
 from pcmlex.simplex import SimplexResult, solve_simplex
 from pcmlex.weighting import EigenResult, eigenvector_weights
@@ -19,12 +20,17 @@ from pcmlex.weighting import EigenResult, eigenvector_weights
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _load_tracing():
-    path = REPO / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _load_perfbench(stem: str):
+    path = REPO / "perfbench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load_perfbench("tracing")
 
 
 def test_every_traced_name_resolves():
@@ -93,6 +99,48 @@ def test_pipeline_calls_each_method_by_its_module_name(monkeypatch, completion, 
     expected = dict.fromkeys(names.values(), 0)
     expected[names[completion]] = expected[names[weighting]] = 1
     assert calls == expected
+
+
+def _counting_lex(monkeypatch):
+    """The states ``build_lex_lp`` builds, and the state of each ``solve_lp`` call, as the tracer sees them."""
+    states, stages = [], []
+    build, stage_lp = completion_module.build_lex_lp, completion_module.solve_lp
+
+    def recording_build(*args):
+        states.append(build(*args))
+        return states[-1]
+
+    def counting_lp(state):
+        stages.append(state)
+        return stage_lp(state)
+
+    monkeypatch.setattr(completion_module, "build_lex_lp", recording_build)
+    monkeypatch.setattr(completion_module, "solve_lp", counting_lp)
+    return states, stages
+
+
+def test_lex_cdag_corpus_work_pinned(monkeypatch):
+    # one pass of the benchmark's lex-cdag operations at seed 1, each solved
+    # afresh: LPs built, stages (solve_lp calls), pivots and freezes; a change
+    # to any of these moves the per-layer metrics the benchmark reports
+    workload = _load_perfbench("workloads").lex_cdag(1)
+    states, stages = _counting_lex(monkeypatch)
+    freezes = sum(len(workload.run(i).audit) for i in range(len(workload)))
+    assert len(workload) == len(states) == 219
+    assert len(stages) == sum(s.stages for s in states) == 692
+    assert sum(s.pivots for s in states) == 1_607
+    assert freezes == 3_597
+
+
+@pytest.mark.parametrize("n, density", [(10, 0.3), (12, 0.3), (15, 0.6)])
+def test_lex_run_calls_solve_lp_once_per_stage(monkeypatch, n, density):
+    # the tracer counts stages as calls of the module global completion.solve_lp
+    a = pcmlex.dag_to_incomplete_matrix(pcmlex.random_cdag(n, density, 123), 5.0)
+    states, stages = _counting_lex(monkeypatch)
+    pcmlex.lex_optimal_completion(a)
+    assert len(states) == 1
+    assert len(stages) == states[0].stages > 1
+    assert all(s is states[0] for s in stages)
 
 
 def _exp_call_sites() -> list[tuple[str, str]]:
