@@ -56,10 +56,13 @@ class LexLpState:
     """The parametric run of one lexicographic completion, indexed by triad position.
 
     One cycle sum per triad: s = log a_ij + log a_jk - log a_ik over the
-    triad's three pairs, where known entries contribute to ``const`` and
-    missing ones a +/-1 coefficient on their free log variable t. With a
-    slack u >= 0 per row and the level z = z0 - w, where z0 = ``scale``,
-    triad l has a +s row and then a -s row:
+    triad's three pairs, so s_l = const_l + coef_l @ t: const_l is the part
+    from known entries, and coef_l holds the +/-1 entries of triad l's
+    missing pairs (+1 on ij and jk, -1 on ik) on their free log variables
+    t. Neither is stored: the tableau holds coef_l in its rows and const_l
+    in its value column. With a slack u >= 0 per row and the level
+    z = z0 - w, where z0 = ``scale``, triad l has a +s row and then a -s
+    row:
 
         +coef_l @ t + u = z0 - const_l - w,  -coef_l @ t + u = z0 + const_l - w
 
@@ -80,8 +83,6 @@ class LexLpState:
     """
 
     triads: tuple[TriadIndex, ...]
-    coef: np.ndarray  # (T, m) coefficients of cycle sums on log variables
-    const: np.ndarray  # (T,) known part of each cycle sum (natural log)
     scale: float  # max |const|: z0, the level at t = 0, so an upper bound on every stage's
     bound: np.ndarray  # (T,) frozen bound on |cycle sum|, NaN while active
     tab: np.ndarray  # (2T, m + 2) condensed tableau: nonbasic columns, value, rate
@@ -94,11 +95,6 @@ class LexLpState:
     w: float = 0.0
     pivots: int = 0
     stages: int = 0
-
-    @property
-    def active(self) -> np.ndarray:
-        """(T,) bool, the not-yet-frozen triads."""
-        return np.isnan(self.bound)
 
     def freeze(self, pos: int | np.ndarray, bound: float) -> None:
         """Freeze the triads at ``pos``, all active, at ``bound``: their rows lose the w term.
@@ -119,9 +115,6 @@ class LexLpState:
         column[in_rows] += 1.0
         self.tab[:, -2] -= (self.scale - bound) * column
         self.tab[:, -1] -= column
-
-    def cycle_sums(self, t: np.ndarray) -> np.ndarray:
-        return self.const + self.coef @ t
 
 
 class FreezeRecord(NamedTuple):
@@ -150,21 +143,17 @@ def build_lex_lp(a: IncompleteMatrix, logs: np.ndarray) -> LexLpState:
     var = np.full((a.n, a.n), m)  # a known pair points at the sentinel column m
     var[rows, cols] = np.arange(m)
     const = _cycle_sums(logs, idx)
-    coef = np.zeros((n_triads, m + 1))
-    pairs = var[idx[:, [0, 1, 0]], idx[:, [1, 2, 2]]]  # (T, 3): the variables of ij, jk, ik
-    coef[np.arange(n_triads)[:, None], pairs] = (1.0, 1.0, -1.0)
-    coef = coef[:, :m]
     z0 = float(np.max(np.abs(const), initial=0.0))
-    tab = np.empty((2 * n_triads, m + 2))
-    tab[0::2, :m] = coef  # +s row, then -s row, of each triad
-    tab[1::2, :m] = -coef
-    tab[0::2, -2] = z0 - const
-    tab[1::2, -2] = z0 + const
+    tab = np.zeros((2 * n_triads, m + 2))
+    plus, minus = tab[0::2], tab[1::2]  # +s row, then -s row, of each triad
+    pairs = var[idx[:, [0, 1, 0]], idx[:, [1, 2, 2]]]  # (T, 3): the variables of ij, jk, ik
+    plus[np.arange(n_triads)[:, None], pairs] = (1.0, 1.0, -1.0)  # m is the value column, set below
+    np.negative(plus[:, :m], out=minus[:, :m])
+    plus[:, -2] = z0 - const
+    minus[:, -2] = z0 + const
     tab[:, -1] = 1.0
     return LexLpState(
         triads=triads,
-        coef=coef,
-        const=const,
         scale=z0,
         bound=np.full(n_triads, np.nan),
         tab=tab,
@@ -456,9 +445,7 @@ def _cr_point(a: IncompleteMatrix, t: np.ndarray):
     return math.log(lam), grad, perron, m, hessian
 
 
-def cr_optimal_completion(
-    a: IncompleteMatrix, initial_logs: np.ndarray | None = None
-) -> tuple[CompleteMatrix, float]:
+def cr_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, float]:
     """Completion minimizing the dominant eigenvalue, with that eigenvalue.
 
     lambda_max is log-convex in the log entries (Bozoki, Fulop & Ronyai
@@ -468,9 +455,9 @@ def cr_optimal_completion(
     or is not a descent direction, shortened so that no log entry moves by
     more than ``CR_MAX_STEP``, then backtracked until it meets the Armijo
     condition. Missing entries start from the GCI-optimal completion, a
-    starting point the result must not depend on; ``initial_logs`` overrides it
-    for exactly that regression. The solve ends once every partial
-    derivative of log lambda_max is at most ``CR_GRAD_TOL`` in magnitude.
+    starting point the result must not depend on. The solve ends once every
+    partial derivative of log lambda_max is at most ``CR_GRAD_TOL`` in
+    magnitude.
 
     The returned matrix carries the Perron pair of the final point, so
     ``eigenvector_weights`` and ``saaty_lambda_max`` on it make no further
@@ -478,24 +465,15 @@ def cr_optimal_completion(
 
     Raises:
         DisconnectedComparisonGraphError: completion would not be unique.
-        ValueError: ``initial_logs`` is not one finite value per missing pair.
         CompletionOverflowError: a log entry of a CR point, the start
             included, is beyond float64.
         ConvergenceFailureError: ``CR_MAX_ITER`` steps taken first.
     """
     _require_connected(a, "CR completion")
-    if initial_logs is not None:
-        initial_logs = np.asarray(initial_logs, dtype=float)
-        shape = (len(a.missing_pairs),)
-        if initial_logs.shape != shape or not np.isfinite(initial_logs).all():
-            raise ValueError(
-                f"initial_logs must be finite with shape {shape}, one log entry "
-                f"per missing pair; got shape {initial_logs.shape}"
-            )
     if a.is_complete:
         complete = a.to_complete()
         return complete, saaty_lambda_max(complete)
-    t = _gci_logs(a) if initial_logs is None else initial_logs
+    t = _gci_logs(a)
     f, g, perron, m, hessian = _cr_point(a, t)
     for _ in range(CR_MAX_ITER):
         if np.max(np.abs(g)) <= CR_GRAD_TOL:

@@ -46,6 +46,7 @@ WEIGHTINGS = {
     "llsm": lambda m: llsm_weights(m),
 }
 THETA_PREFIX_LEN = 5  # largest triad inconsistencies kept in a report
+ALPHA_GRID_MAX = 10**6  # most points an alpha grid may have
 
 
 def _check_method(kind: str, method: str, known: dict) -> None:
@@ -232,14 +233,17 @@ def alpha_grid(start: float = 1.1, stop: float = 10.0, step: float = 0.1) -> tup
     """Inclusive grid start, start+step, ..., up to stop (within rounding).
 
     Raises:
-        ValueError: step is not positive, stop is below start, or the span
-            is not finite.
+        ValueError: step is not positive, stop is below start, the span is
+            not finite, or the grid would have more than ``ALPHA_GRID_MAX`` points.
     """
     if not (step > 0 and stop >= start and math.isfinite(stop - start)):
         raise ValueError(f"alpha grid needs step > 0 and stop >= start, got "
                          f"start={start}, stop={stop}, step={step}")
-    count = int(round((stop - start) / step)) + 1
-    return tuple(round(start + k * step, 12) for k in range(count))
+    count = round((stop - start) / step, 0) + 1  # a float, inf where the division overflows
+    if not count <= ALPHA_GRID_MAX:
+        raise ValueError(f"alpha grid of {count:.0f} points is above {ALPHA_GRID_MAX}, got "
+                         f"start={start}, stop={stop}, step={step}")
+    return tuple(round(start + k * step, 12) for k in range(int(count)))
 
 
 def sweep_alpha(

@@ -2,9 +2,11 @@
 
 Everything here goes through routes the library does not use: power
 iteration or characteristic polynomials instead of a dense eigensolver,
-exhaustive grids or SciPy's HiGHS instead of the in-house simplex, and grids
-instead of the quasi-Newton CR solve. ``lex_stage`` reads one stage of the
-lex run off its tableau, for the checks the run itself does not make.
+exhaustive grids or SciPy's HiGHS instead of the lex run's parametric
+tableau, and grids instead of the damped-Newton CR solve. ``lex_stage``
+reads one stage of the lex run off its tableau, for the checks the run
+itself does not make, and ``cycle_structure`` gives the cycle sums those
+checks are made on.
 """
 
 import itertools
@@ -74,11 +76,11 @@ class LexStage:
     """One stage of the lex run: what ``solve_lp`` returned and what its tableau shows.
 
     ``feasibility_residual`` and ``duality_gap`` are computed when read,
-    from the stage's own data in ``_stage``: the state's ``coef``,
-    ``const`` and ``scale``, the stage's w, a copy of the bounds it saw and
-    the certificate's per-triad slack sums ``pair`` (plus + minus row) and
-    ``diff`` (plus - minus). A stage with no certificate has none, and
-    reads 0 for both.
+    from the stage's own data in ``_stage``: the run's ``coef`` and
+    ``const`` (see ``cycle_structure``), the state's ``scale``, the stage's
+    w, a copy of the bounds it saw and the certificate's per-triad slack
+    sums ``pair`` (plus + minus row) and ``diff`` (plus - minus). A stage
+    with no certificate has none, and reads 0 for both.
     """
 
     objective: float  # the level solve_lp returned
@@ -106,15 +108,17 @@ class LexStage:
         return abs(pair @ np.where(np.isnan(bound), z0, bound) - diff @ const - w)
 
 
-def lex_stage(state, result: tuple[float, np.ndarray]) -> LexStage:
+def lex_stage(state, result: tuple[float, np.ndarray], coef, const) -> LexStage:
     """The stage that ``completion.solve_lp(state)`` just ran, returning ``result``.
 
-    Read before the run freezes anything. The point is each basic t's row at
-    the stage's w. The certificate is every blocking row with no eligible
-    entry, found by the stage's own ratio test on the tableau it stopped
-    at; its duals are the mean of those rows' slack entries over their
-    rates, so also on a last stage, whose certificate the run does not read.
-    Where nothing blocks there is no certificate and the duals are 0.
+    ``coef`` and ``const`` give the cycle sums of the logs the state was
+    built from, by ``cycle_structure``. Read before the run freezes
+    anything. The point is each basic t's row at the stage's w. The
+    certificate is every blocking row with no eligible entry, found by the
+    stage's own ratio test on the tableau it stopped at; its duals are the
+    mean of those rows' slack entries over their rates, so also on a last
+    stage, whose certificate the run does not read. Where nothing blocks
+    there is no certificate and the duals are 0.
     """
     level, priced = result
     tab, basic, nonbasic = state.tab, state.basic, state.nonbasic
@@ -139,12 +143,18 @@ def lex_stage(state, result: tuple[float, np.ndarray]) -> LexStage:
     y[basic[certificates]] += share
     plus, minus = y[m::2], y[m + 1 :: 2]
     pair = plus + minus
-    stage = (state.coef, state.const, z0, state.w, state.bound.copy(), pair, plus - minus)
+    stage = (coef, const, z0, state.w, state.bound.copy(), pair, plus - minus)
     return LexStage(level, priced, t, np.where(active, -pair, 0.0), stage)
 
 
-def cycle_structure(a: IncompleteMatrix):
-    """(pairs, triads, const, coef) of all triad log-cycle sums."""
+def cycle_structure(a: IncompleteMatrix, logs: np.ndarray | None = None):
+    """(pairs, triads, const, coef) of all triad log-cycle sums.
+
+    The known log entries are read from ``logs`` where given, as
+    ``completion.build_lex_lp`` reads them, and are log a's entries if not.
+    """
+    if logs is None:
+        logs = np.log(np.where(a.known, a.entries, 1.0))
     pairs = a.missing_pairs
     var_of = {p: e for e, p in enumerate(pairs)}
     triads = list(itertools.combinations(range(a.n), 3))
@@ -153,7 +163,7 @@ def cycle_structure(a: IncompleteMatrix):
     for pos, (i, j, k) in enumerate(triads):
         for p, q, s in ((i, j, 1.0), (j, k, 1.0), (i, k, -1.0)):
             if a.known[p, q]:
-                const[pos] += s * np.log(a.entries[p, q])
+                const[pos] += s * logs[p, q]
             else:
                 coef[pos, var_of[(p, q)]] += s
     return pairs, triads, const, coef

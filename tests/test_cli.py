@@ -280,9 +280,11 @@ class TestSweepAlphaCommand:
             ["--alpha-max", "inf"],
             ["--alpha-min", "0.5", "--alpha-max", "1.5", "--step", "0.5"],
             ["--alpha-min", "1", "--alpha-max", "1.5", "--step", "0.5"],
+            ["--step", "1e-320"],
+            ["--step", "1e-9"],
         ],
         ids=["step-zero", "step-negative", "max-below-min", "max-infinite", "alpha-below-one",
-             "alpha-one"],
+             "alpha-one", "step-overflows", "step-too-many-points"],
     )
     def test_bad_grid_exit_2(self, fig2_file, grid, capsys):
         code = main(["sweep-alpha", fig2_file, "--completion", "gci", "--weighting", "llsm",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from pcmlex.errors import (
 from conftest import FIG2_ARCS_1BASED, random_incomplete, random_reciprocal, random_tree_matrix
 from oracles import (
     cr_lambda_grid_oracle,
+    cycle_structure,
     lex_highs_oracle,
     lex_less_equal,
     lex_stage,
@@ -65,25 +67,39 @@ def _lp(a):
     return build_lex_lp(a, np.log(np.where(a.known, a.entries, 1.0)))
 
 
+def _sums(a, logs=None):
+    """(coef, const) of a's cycle sums on ``logs`` (a's own if None), by ``cycle_structure``."""
+    _, _, const, coef = cycle_structure(a, logs)
+    return coef, const
+
+
+def _recording_builds(monkeypatch):
+    """Record each ``build_lex_lp`` call as (state, coef, const), the last two from its logs."""
+    builds = []
+    build = completion.build_lex_lp
+
+    def recording_build(a, logs):
+        builds.append((build(a, logs), *_sums(a, logs)))
+        return builds[-1][0]
+
+    monkeypatch.setattr(completion, "build_lex_lp", recording_build)
+    return builds
+
+
 def _traced_lex(monkeypatch, a):
     """Lex completion of ``a``, solved afresh: its run state and every stage, in order."""
-    states, stages = [], []
-    build, stage_lp = completion.build_lex_lp, completion.solve_lp
-
-    def recording_build(*args):
-        states.append(build(*args))
-        return states[-1]
+    builds, stages = _recording_builds(monkeypatch), []
+    stage_lp = completion.solve_lp
 
     def recording_lp(state):
         result = stage_lp(state)
-        stages.append(lex_stage(state, result))
+        stages.append(lex_stage(state, result, *builds[-1][1:]))
         return result
 
-    monkeypatch.setattr(completion, "build_lex_lp", recording_build)
     monkeypatch.setattr(completion, "solve_lp", recording_lp)
     completion._memo.clear()
     completion.lex_optimal_completion(a)
-    return states[0], stages
+    return builds[0][0], stages
 
 
 def _reordered_triads(mp, triads):
@@ -105,11 +121,11 @@ def _reordered_triads(mp, triads):
     return states
 
 
-def _fixed(state):
+def _fixed(state, coef):
     """(T,) bool, the triads whose cycle sum the frozen triads' cycle sums determine."""
-    _, sv, vt = np.linalg.svd(state.coef[~state.active])  # full vt, also with no row
+    _, sv, vt = np.linalg.svd(coef[~np.isnan(state.bound)])  # full vt, also with no row
     free = vt[int(np.sum(sv > 1e-9)) :].T  # directions that keep every frozen cycle sum
-    return np.all(np.abs(state.coef @ free) <= 1e-9, axis=1)
+    return np.all(np.abs(coef @ free) <= 1e-9, axis=1)
 
 
 def _warm_start_inputs():
@@ -137,7 +153,7 @@ class TestBuildLexLp:
         assert example2.missing_pairs == ((0, 2), (0, 3))
         assert len(state.triads) == 4
         # four active triads, one absolute-value pair of rows each
-        assert int(state.active.sum()) == 4
+        assert int(np.isnan(state.bound).sum()) == 4
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedComparisonGraphError):
@@ -146,15 +162,17 @@ class TestBuildLexLp:
     def test_single_missing_3x3(self):
         a = validate_reciprocal([[1, 2, None], [0.5, 1, 4], [None, 0.25, 1]])
         state = _lp(a)
-        assert int(state.active.sum()) == 1
-        sol = lex_stage(state, solve_lp(state))
+        assert int(np.isnan(state.bound).sum()) == 1
+        sol = lex_stage(state, solve_lp(state), *_sums(a))
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         # the single free variable zeroes the only cycle sum: x13 = 2 * 4
         assert math.exp(sol.t[a.missing_pairs.index((0, 2))]) == pytest.approx(8.0, rel=1e-8)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_cycle_sums_match_filled_matrix(self, seed):
-        # the index-array assembly against cycle sums read off a filled matrix
+        # the fresh tableau against cycle sums read off a filled matrix: a +s
+        # row holds z0 - const and coef, so s = z0 - value + coef @ t; each
+        # -s row is the exact negation of its +s row
         rng = np.random.default_rng(700 + seed)
         if seed == 0:
             a = validate_reciprocal([[1, 2, None], [0.5, 1, 4], [None, 0.25, 1]])
@@ -167,14 +185,31 @@ class TestBuildLexLp:
         logs = np.log(_with_pairs(a.entries, rows, cols, np.exp(t)))
         i, j, k = np.array(state.triads).T
         expected = logs[i, j] + logs[j, k] - logs[i, k]
+        m, plus, minus = len(t), state.tab[0::2], state.tab[1::2]
+        sums = state.scale - plus[:, -2] + plus[:, :m] @ t
         tol = 1e-12 * max(1.0, state.scale)
-        assert np.max(np.abs(state.cycle_sums(t) - expected)) <= tol
+        assert np.max(np.abs(sums - expected)) <= tol
+        assert np.negative(plus[:, :m]).tobytes() == minus[:, :m].tobytes()
+
+    def test_build_memory_is_the_tableau(self):
+        # the +/-1 entries are written into the tableau itself: a dense
+        # (T, m) coefficient matrix and its negation beside it would double
+        # the peak
+        a = dag_to_incomplete_matrix(random_cdag(20, 0.3, 123), 5.0)
+        _lp(a)  # the cached triad table and missing index, outside the count
+        tracemalloc.start()
+        try:
+            state = _lp(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * state.tab.nbytes
 
 
 class TestSolveLp:
     def test_example2_first_stage(self, example2):
         state = _lp(example2)
-        sol = lex_stage(state, solve_lp(state))
+        sol = lex_stage(state, solve_lp(state), *_sums(example2))
         assert sol.objective == pytest.approx(LN8, abs=1e-8)
         assert sol.objective / LN2 == pytest.approx(3.0, abs=1e-8)
         # the constant triad (2,3,4) carries the whole (negative) price
@@ -183,12 +218,12 @@ class TestSolveLp:
         assert active_sum == pytest.approx(-1.0, abs=1e-9)
 
     def test_example2_second_stage_unique(self, example2):
-        state = _lp(example2)
-        first = lex_stage(state, solve_lp(state))
+        state, sums = _lp(example2), _sums(example2)
+        first = lex_stage(state, solve_lp(state), *sums)
         pos = state.triads.index(TriadIndex(1, 2, 3))
         assert first.priced.tolist() == [pos]
         state.freeze(pos, first.objective)
-        second = lex_stage(state, solve_lp(state))
+        second = lex_stage(state, solve_lp(state), *sums)
         assert second.objective == pytest.approx(LN2, abs=1e-8)
         assert second.t[example2.missing_pairs.index((0, 2))] / LN2 == pytest.approx(2.0, abs=1e-7)
         assert second.t[example2.missing_pairs.index((0, 3))] / LN2 == pytest.approx(3.0, abs=1e-7)
@@ -197,7 +232,7 @@ class TestSolveLp:
         state = _lp(example2)
         for pos in range(len(state.triads)):
             state.freeze(pos, 5.0)
-        sol = lex_stage(state, solve_lp(state))
+        sol = lex_stage(state, solve_lp(state), *_sums(example2))
         assert sol.objective == 0.0
         assert np.array_equal(sol.t, np.zeros(2))
 
@@ -205,7 +240,7 @@ class TestSolveLp:
         rng = np.random.default_rng(3)
         a = random_tree_matrix(5, rng)
         state = _lp(a)
-        sol = lex_stage(state, solve_lp(state))
+        sol = lex_stage(state, solve_lp(state), *_sums(a))
         assert sol.objective <= 1e-9
 
     @pytest.mark.parametrize("dag,alpha", _warm_start_inputs())
@@ -216,17 +251,18 @@ class TestSolveLp:
         # residual and gap on the original rows are small; the stage returns
         # the triads its certificate prices, and none on the last stage
         stage_lp = completion.solve_lp
-        stages = []
+        builds, stages = _recording_builds(monkeypatch), []
 
         def checking_lp(state):
             x = state.tab[:, -2] - state.w * state.tab[:, -1]
             slack = state.basic >= len(state.nonbasic)
             assert np.all(x[slack] >= -1e-9 * state.scale)
             result = stage_lp(state)
-            sol = lex_stage(state, result)
+            _, coef, const = builds[-1]
+            sol = lex_stage(state, result, coef, const)
             stages.append(sol)
             priced = np.abs(sol.duals) > completion.DUAL_TOL
-            s = np.abs(state.cycle_sums(sol.t))
+            s = np.abs(const + coef @ sol.t)
             assert np.all(np.abs(s[priced] - sol.objective) <= 1e-9 * state.scale)
             assert sol.duals.sum() == pytest.approx(-1.0, abs=1e-9)
             last = sol.objective <= completion.OBJ_RTOL * state.scale
@@ -244,7 +280,7 @@ class TestSolveLp:
     def test_frozen_cycle_sums_stay_fixed(self, monkeypatch, dag, alpha):
         # every later stage's point keeps each frozen |s| at its bound
         freeze, stage_lp = completion.LexLpState.freeze, completion.solve_lp
-        freezes, later = [], []
+        builds, freezes, later = _recording_builds(monkeypatch), [], []
 
         def counting_freeze(state, pos, bound):
             freeze(state, pos, bound)
@@ -252,9 +288,10 @@ class TestSolveLp:
 
         def checking_lp(state):
             result = stage_lp(state)
-            sol = lex_stage(state, result)
-            frozen = ~state.active
-            s = np.abs(state.cycle_sums(sol.t)[frozen])
+            _, coef, const = builds[-1]
+            sol = lex_stage(state, result, coef, const)
+            frozen = ~np.isnan(state.bound)
+            s = np.abs((const + coef @ sol.t)[frozen])
             assert np.all(np.abs(s - state.bound[frozen]) <= completion.OBJ_RTOL * state.scale)
             later.append(int(frozen.sum()))
             return result
@@ -270,17 +307,18 @@ class TestSolveLp:
         # blocks the next stage at once: that stage keeps the level, takes no
         # pivot and prices every such triad
         stage_lp = completion.solve_lp
-        levels, points = [], []
+        builds, levels, points = _recording_builds(monkeypatch), [], []
 
         def checking_lp(state):
+            _, coef, const = builds[-1]
             pinned = np.zeros(len(state.triads), bool)
             if levels:
-                s = np.abs(state.cycle_sums(points[-1]))  # at the last stage's point
+                s = np.abs(const + coef @ points[-1])  # at the last stage's point
                 at_level = np.abs(s - levels[-1]) <= completion.OBJ_RTOL * state.scale
-                pinned = state.active & _fixed(state) & at_level
+                pinned = np.isnan(state.bound) & _fixed(state, coef) & at_level
             pivots = state.pivots
             result = stage_lp(state)
-            sol = lex_stage(state, result)
+            sol = lex_stage(state, result, coef, const)
             levels.append(sol.objective)
             points.append(sol.t)
             if pinned.any():
@@ -299,10 +337,10 @@ class TestSolveLp:
         # takes; once the frozen cycle sums fix t (no free direction is
         # left), each remaining level is one certificate with no pivot
         stage_lp = completion.solve_lp
-        calls, idle = [], []
+        builds, calls, idle = _recording_builds(monkeypatch), [], []
 
         def checking_lp(state):
-            all_fixed = bool(np.all(_fixed(state)))
+            all_fixed = bool(np.all(_fixed(state, builds[-1][1])))
             pivots = state.pivots
             result = stage_lp(state)
             calls.append(state.pivots - pivots)
@@ -322,13 +360,14 @@ class TestSolveLp:
         # whole run, each is still its stage's value, not one computed with
         # the bounds of triads frozen later
         stage_lp = completion.solve_lp
-        stages, expected = [], []
+        builds, stages, expected = _recording_builds(monkeypatch), [], []
 
         def recording_lp(state):
             result = stage_lp(state)
-            sol = lex_stage(state, result)
-            s = np.abs(state.cycle_sums(sol.t))
-            off = np.where(state.active, s - sol.objective, np.abs(s - state.bound))
+            _, coef, const = builds[-1]
+            sol = lex_stage(state, result, coef, const)
+            s = np.abs(const + coef @ sol.t)
+            off = np.where(np.isnan(state.bound), s - sol.objective, np.abs(s - state.bound))
             # a copy reads the stage's data now
             expected.append((float(np.max(off, initial=0.0)), dataclasses.replace(sol).duality_gap))
             stages.append(sol)
@@ -408,7 +447,7 @@ class TestSolveLp:
         for _ in range(15):
             a = random_incomplete(int(rng.integers(4, 6)), 2, rng)
             state = _lp(a)
-            sol = lex_stage(state, solve_lp(state))
+            sol = lex_stage(state, solve_lp(state), *_sums(a))
             assert sol.feasibility_residual <= 1e-9
             assert sol.duality_gap <= 1e-7
 
@@ -949,14 +988,16 @@ class TestCrCompletion:
         assert u @ v == pytest.approx(1.0, rel=1e-12)
         assert np.max(np.abs(u / u.sum() - power_iteration_reference(m.T)[0])) <= 1e-12
 
-    def test_cold_starts_reach_the_warm_lambda(self, fig2_dag):
+    def test_cold_starts_reach_the_warm_lambda(self, monkeypatch, fig2_dag):
         rng = np.random.default_rng(89)
         fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (2.0, 9.0)]
         for a in [*self._cr_instances(), *fig2]:
             _, lam = cr_optimal_completion(a)
             for _ in range(3):
                 cold = 10.0 * rng.normal(size=len(a.missing_pairs))
-                _, lam_cold = cr_optimal_completion(a, initial_logs=cold)
+                with monkeypatch.context() as mp:
+                    mp.setattr(completion, "_gci_logs", lambda a: cold)
+                    _, lam_cold = cr_optimal_completion(a)
                 assert lam_cold == pytest.approx(lam, rel=1e-9)
 
     def test_warm_solves_take_few_newton_steps(self, monkeypatch, fig2_dag):
@@ -1012,13 +1053,14 @@ class TestCrCompletion:
         lam_grid, _ = cr_lambda_grid_oracle(a, step=0.01, refine_rounds=1)
         assert lam == pytest.approx(lam_grid, abs=1e-3)
 
-    def test_initialization_independent(self):
+    def test_initialization_independent(self, monkeypatch):
         rng = np.random.default_rng(61)
         for _ in range(4):
             a = random_incomplete(4, 2, rng)
             m_warm, lam_warm = cr_optimal_completion(a)
-            cold = np.array([2.5, -1.5])
-            m_cold, lam_cold = cr_optimal_completion(a, initial_logs=cold)
+            with monkeypatch.context() as mp:
+                mp.setattr(completion, "_gci_logs", lambda a: np.array([2.5, -1.5]))
+                m_cold, lam_cold = cr_optimal_completion(a)
             assert lam_cold == pytest.approx(lam_warm, abs=1e-8)
             assert np.max(np.abs(m_cold.entries - m_warm.entries)) <= 1e-3
 
@@ -1030,24 +1072,13 @@ class TestCrCompletion:
             _, lam = cr_optimal_completion(a)
             assert lam >= n - 1e-9
 
-    @pytest.mark.parametrize(
-        "initial_logs",
-        [0.5, np.array([0.5, -0.5]), np.full(6, np.nan)],
-        ids=["scalar", "length2", "nan"],
-    )
-    def test_malformed_initial_logs_rejected(self, initial_logs):
-        # a 5-vertex path at alpha = 3 leaves 6 pairs missing
-        a = dag_to_incomplete_matrix(build_dag(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 3.0)
-        assert len(a.missing_pairs) == 6
-        with pytest.raises(ValueError, match="initial_logs"):
-            cr_optimal_completion(a, initial_logs=initial_logs)
-
-    def test_initial_logs_beyond_float64_raise(self):
+    def test_initial_logs_beyond_float64_raise(self, monkeypatch):
         # exp(800) overflowed to inf, and the eigensolve then failed with
         # ConvergenceFailureError; the fill of every CR point now names the pair
         a = dag_to_incomplete_matrix(build_dag(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 3.0)
+        monkeypatch.setattr(completion, "_gci_logs", lambda a: np.full(len(a.missing_pairs), 800.0))
         with pytest.raises(CompletionOverflowError, match=r"800.*pair \(0, 2\)"):
-            cr_optimal_completion(a, initial_logs=np.full(len(a.missing_pairs), 800.0))
+            cr_optimal_completion(a)
 
 
 class TestCrPerronPair:

@@ -135,11 +135,24 @@ class TestSweep:
             (3.0, 2.0, 0.1),
             (1.1, 10.0, float("nan")),
             (1.1, float("inf"), 0.1),
+            (1.1, 10.0, 1e-320),  # (stop - start) / step overflows to inf
+            (1.1, 10.0, 1e-9),  # 8.9e9 points
         ],
     )
     def test_alpha_grid_rejects_empty_or_endless(self, start, stop, step):
         with pytest.raises(ValueError):
             alpha_grid(start, stop, step)
+
+    def test_alpha_grid_point_limit(self, monkeypatch):
+        # the error names the count; a grid of exactly the limit is allowed
+        with pytest.raises(ValueError, match="alpha grid of inf points"):
+            alpha_grid(1.1, 10.0, 1e-320)
+        with pytest.raises(ValueError, match="alpha grid of 8900000001 points"):
+            alpha_grid(1.1, 10.0, 1e-9)
+        monkeypatch.setattr(harness, "ALPHA_GRID_MAX", 3)
+        assert alpha_grid(2.0, 3.0, 0.5) == (2.0, 2.5, 3.0)
+        with pytest.raises(ValueError, match="alpha grid of 5 points is above 3"):
+            alpha_grid(2.0, 3.0, 0.25)
 
     @pytest.mark.parametrize("eq_tol", [float("nan"), -1.0])
     def test_sweep_rejects_bad_eq_tol_before_any_alpha(self, monkeypatch, fig2_dag, eq_tol):
