@@ -236,7 +236,7 @@ def _cmd_sweep_alpha(args) -> int:
         text = ",".join(SWEEP_COLUMNS) + "\n" + "".join(r.as_csv() + "\n" for r in rows)
     else:
         text = "".join(
-            f"alpha={r.alpha:<6g} {r.method_pair}  violations={r.n_violations}  "
+            f"alpha={r.alpha:<6.10g} {r.method_pair}  violations={r.n_violations}  "
             f"max_ti={r.max_ti:.6g}  ki={r.ki:.6g}  lambda_max={r.lambda_max:.6g}\n"
             for r in rows
         )

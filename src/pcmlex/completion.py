@@ -39,7 +39,6 @@ from .core import (
     _require_connected,
     _triad_table,
     _with_pairs,
-    saaty_lambda_max,
 )
 from .errors import ConvergenceFailureError, NoBindingDualFoundError
 from .simplex import MAX_PIVOTS, PIVOT_TOL, RATIO_TIE_TOL
@@ -47,7 +46,7 @@ from .weighting import _llsm_logs
 
 OBJ_RTOL = 1e-9  # objective below this times max |const| counts as zero
 DUAL_TOL = 1e-9  # |triad dual| above this freezes it; absolute, as the active duals sum to -1
-LOG_QUANTUM = 2.0**-46  # about 1.4e-14: the grid of the unit-free logs the lex run solves
+LOG_QUANTUM = 2.0**-46  # about 1.4e-14: the relative grid of the unit-free logs the lex run solves
 _memo: dict = {}  # the last lex run's result by its input; one entry, see lex_optimal_completion
 
 
@@ -211,10 +210,11 @@ def solve_lp(state: LexLpState) -> tuple[float, np.ndarray]:
     active triads the certificate prices: those whose dual, the sum over
     the triad's two rows, exceeds ``DUAL_TOL``. A stage at or below
     ``OBJ_RTOL`` times z0 freezes nothing, so its certificate is not read
-    and no triad is returned. Nor is one where nothing blocks: the run does
-    not move, and the level is the last stage's, or 0 with every triad
-    frozen. The stage's w is written to ``state.w``; its point is left in
-    the tableau (see ``LexLpState``).
+    and no triad is returned. The stage's w is written to ``state.w``; its
+    point is left in the tableau (see ``LexLpState``).
+
+    Some triad must be active. Its two slacks sum to 2(z0 - w), so one of
+    its rows blocks by w = z0; with every triad frozen nothing would block.
 
     Raises:
         ConvergenceFailureError: the run needs more than ``MAX_PIVOTS`` pivots.
@@ -229,8 +229,6 @@ def solve_lp(state: LexLpState) -> tuple[float, np.ndarray]:
         ratios.fill(np.inf)
         np.divide(tab[:, -2], rate, out=ratios, where=leaves & (rate > PIVOT_TOL))
         w = ratios[ratios.argmin()]  # the min, at a fraction of ratios.min()'s call cost
-        if w == np.inf:  # nothing blocks, as when every triad is frozen: no certificate
-            return (z0 - state.w if np.isnan(state.bound).any() else 0.0), np.empty(0, int)
         tied = (ratios <= w + tie).nonzero()[0]
         entries = tab.take(tied, axis=0)[:, :-2]
         eligible = entries < lo  # either sign on t, negative on a slack
@@ -282,9 +280,11 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
 
     The optimum is positively homogeneous in the known log entries, so the
     run solves unit-free logs: the known logs divided by u, their largest
-    magnitude, and rounded to ``LOG_QUANTUM``. The completion is exp(u t) at
-    the missing pairs and each frozen TI exp(u bound). The quantum absorbs
-    the rounding of 1/alpha, so a DAG matrix is one LP input at every alpha.
+    magnitude, and rounded to ``LOG_QUANTUM`` relative to each one's own
+    magnitude, so a small log keeps its digits next to a large one. The
+    completion is exp(u t) at the missing pairs and each frozen TI
+    exp(u bound). The quantum absorbs the rounding of 1/alpha, so a DAG
+    matrix is one LP input at every alpha.
     The last run's result is kept with its input (unit-free logs and missing
     mask) as the key, and a call with the same key reuses it instead of
     solving again; the run reads nothing but the key, so the result is the
@@ -314,7 +314,8 @@ def lex_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, list[Fr
         return a.to_complete(), []
     logs = np.log(np.where(a.known, a.entries, 1.0))
     unit = float(np.max(np.abs(logs))) or 1.0
-    logs = np.round(logs / (unit * LOG_QUANTUM)) * LOG_QUANTUM
+    mant, expo = np.frexp(logs / unit)
+    logs = np.ldexp(np.round(mant / LOG_QUANTUM) * LOG_QUANTUM, expo)
     key = (a.known.tobytes(), logs.tobytes())
     result = _memo.get(key)
     if result is None:
@@ -378,8 +379,6 @@ def gci_optimal_completion(a: IncompleteMatrix) -> CompleteMatrix:
         DisconnectedComparisonGraphError, CompletionOverflowError
     """
     _require_connected(a, "GCI completion")
-    if a.is_complete:
-        return a.to_complete()
     return CompleteMatrix._trusted(_fill(a, _gci_logs(a)))
 
 
@@ -470,13 +469,10 @@ def cr_optimal_completion(a: IncompleteMatrix) -> tuple[CompleteMatrix, float]:
         ConvergenceFailureError: ``CR_MAX_ITER`` steps taken first.
     """
     _require_connected(a, "CR completion")
-    if a.is_complete:
-        complete = a.to_complete()
-        return complete, saaty_lambda_max(complete)
     t = _gci_logs(a)
     f, g, perron, m, hessian = _cr_point(a, t)
     for _ in range(CR_MAX_ITER):
-        if np.max(np.abs(g)) <= CR_GRAD_TOL:
+        if np.max(np.abs(g), initial=0.0) <= CR_GRAD_TOL:  # at once for a complete input
             return CompleteMatrix._trusted(m, perron=perron), perron[1]
         try:
             d = -np.linalg.solve(hessian(), g)

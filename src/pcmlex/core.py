@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -25,7 +25,6 @@ from .errors import (
     ConvergenceFailureError,
     DimensionMismatchError,
     DisconnectedComparisonGraphError,
-    MatrixTooSmallError,
     NonPositiveEntryError,
     NonSquareError,
     ReciprocityViolationError,
@@ -53,6 +52,20 @@ def all_triads(n: int) -> list[TriadIndex]:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _value_eq(self, other) -> bool:
+    """``__eq__`` of the array-holding values: same type, fields equal, arrays exactly, NaN to NaN.
+
+    The dataclass default compares field tuples, and ``==`` on an array is an
+    array, whose truth value raises. The types stay unhashable.
+    """
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(
+        np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    )
 
 
 @lru_cache(maxsize=16)
@@ -134,20 +147,17 @@ class CompleteMatrix:
 
     n: int
     entries: np.ndarray
+    __eq__ = _value_eq
 
     @classmethod
     def from_array(cls, raw) -> "CompleteMatrix":
         """Validate a full array and canonicalize its lower triangle.
 
         Raises:
-            NonSquareError, NonPositiveEntryError, ReciprocityViolationError
+            NonSquareError, NonPositiveEntryError, ReciprocityViolationError,
+            AsymmetricMissingnessError: also for a missing entry.
         """
-        inc = validate_reciprocal(raw)
-        if not inc.is_complete:
-            raise AsymmetricMissingnessError(
-                "complete matrix may not contain missing entries"
-            )
-        return inc.to_complete()
+        return validate_reciprocal(raw).to_complete()
 
     @classmethod
     def _trusted(
@@ -183,6 +193,7 @@ class IncompleteMatrix:
     n: int
     entries: np.ndarray
     known: np.ndarray
+    __eq__ = _value_eq
 
     @property
     def is_complete(self) -> bool:
@@ -232,6 +243,7 @@ class WeightVector:
     """Positive priority vector normalized to sum 1."""
 
     w: np.ndarray
+    __eq__ = _value_eq
 
     @classmethod
     def from_raw(cls, raw: Sequence[float] | np.ndarray) -> "WeightVector":
@@ -266,18 +278,16 @@ class InconsistencyProfile:
 
     theta: np.ndarray
     triad_map: dict[TriadIndex, float]
+    __eq__ = _value_eq
 
     @property
     def max_ti(self) -> float:
-        return float(self.theta[0])
+        """The largest triad inconsistency; 1, that of a consistent triad, when n < 3."""
+        return float(self.theta.max(initial=1.0))
 
 
 def _as_value_mask(raw) -> tuple[np.ndarray, np.ndarray]:
     """Split a raw array of numbers / None / NaN into (values, known-mask)."""
-    if isinstance(raw, IncompleteMatrix):
-        return raw.entries.copy(), raw.known.copy()
-    if isinstance(raw, CompleteMatrix):
-        return raw.entries.copy(), np.ones((raw.n, raw.n), dtype=bool)
     arr = np.asarray(raw, dtype=object)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"expected a square array, got shape {arr.shape}")
@@ -294,7 +304,8 @@ def validate_reciprocal(raw) -> IncompleteMatrix:
     recomputing the lower triangle from the upper one.
 
     Args:
-        raw: n x n array of numbers / None / NaN, or an existing matrix.
+        raw: n x n array (or nested sequence) of numbers / None / NaN; a
+            matrix object is not one, and fails with ``NonSquareError``.
 
     Returns:
         A validated, canonicalized IncompleteMatrix (possibly complete).
@@ -354,11 +365,12 @@ def ratio_matrix(v: Sequence[float] | np.ndarray) -> CompleteMatrix:
 
 
 def is_consistent(m: CompleteMatrix, tol: float = 1e-9) -> bool:
-    """True iff |a_ik - a_ij * a_jk| <= tol * a_ik for every ordered triple."""
-    a = m.entries
-    prod = a[:, :, None] * a[None, :, :]  # (i, j, k) -> a_ij * a_jk
-    target = a[:, None, :]
-    return bool(np.all(np.abs(prod - target) <= tol * target))
+    """True iff every triad inconsistency (see ``triad_ti``) is at most 1 + tol.
+
+    Raises:
+        CompletionOverflowError: some triad's TI is beyond float64.
+    """
+    return inconsistency_profile(m).max_ti <= 1.0 + tol
 
 
 def _exp_tis(s: np.ndarray, triads: Sequence[tuple[int, int, int]]) -> np.ndarray:
@@ -376,14 +388,11 @@ def triad_ti(m: CompleteMatrix, t: TriadIndex) -> float:
 
 
 def inconsistency_profile(m: CompleteMatrix) -> InconsistencyProfile:
-    """All triad inconsistencies (see ``triad_ti``), sorted non-increasing.
+    """All triad inconsistencies (see ``triad_ti``), sorted non-increasing; none when n < 3.
 
     Raises:
-        MatrixTooSmallError: if n < 3 (no triads exist).
         CompletionOverflowError: some triad's TI is beyond float64.
     """
-    if m.n < 3:
-        raise MatrixTooSmallError("inconsistency profile needs n >= 3")
     triads, idx = _triad_table(m.n)
     ti = _exp_tis(_cycle_sums(np.log(m.entries), idx), triads)
     order = np.argsort(-ti, kind="stable")
@@ -394,7 +403,7 @@ def inconsistency_profile(m: CompleteMatrix) -> InconsistencyProfile:
 
 
 def koczkodaj_ki(m: CompleteMatrix) -> float:
-    """Koczkodaj index 1 - 1/max TI, in [0, 1)."""
+    """Koczkodaj index 1 - 1/max TI, in [0, 1); 0 when n < 3."""
     return 1.0 - 1.0 / inconsistency_profile(m).max_ti
 
 

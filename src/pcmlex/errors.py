@@ -51,10 +51,6 @@ class ReciprocityViolationError(InvalidInputError):
     """a_ji deviates from 1 / a_ij past tolerance; ``pair`` is the worst, off by ``deviation``."""
 
 
-class MatrixTooSmallError(PcmError):
-    """Operation needs n >= 3 (no triads exist below that)."""
-
-
 class DimensionMismatchError(InvalidInputError):
     """Weight vector length differs from the matrix order."""
 

@@ -84,10 +84,6 @@ def dumps_matrix(m: CompleteMatrix | IncompleteMatrix) -> str:
     return f"{m.n}\n" + "".join(" ".join(row) + "\n" for row in cells)
 
 
-def write_matrix(m: CompleteMatrix | IncompleteMatrix, path: str | Path) -> None:
-    Path(path).write_text(dumps_matrix(m))
-
-
 def loads_dag(text: str) -> PreferenceDag:
     """Parse DAG text (1-based arcs) and validate it as a connected DAG."""
     n, rows = _tokenize(text)
@@ -113,7 +109,3 @@ def dumps_dag(g: PreferenceDag) -> str:
     lines = [str(g.n)]
     lines += [f"{i + 1} {j + 1}" for i, j in g.sorted_arcs]
     return "\n".join(lines) + "\n"
-
-
-def write_dag(g: PreferenceDag, path: str | Path) -> None:
-    Path(path).write_text(dumps_dag(g))

@@ -105,10 +105,8 @@ def run_pipeline(
     full = complete_matrix(a, completion)
     w, lam = derive_weights(full, weighting), saaty_lambda_max(full)  # EM shares the Perron pair
     violations = check_ordinal_violation(a, w, eq_tol=eq_tol)
-    profile = inconsistency_profile(full) if full.n >= 3 else None
-    max_ti = profile.max_ti if profile else 1.0
-    ki = 1.0 - 1.0 / max_ti
-    prefix = tuple(float(v) for v in (profile.theta[:THETA_PREFIX_LEN] if profile else ()))
+    profile = inconsistency_profile(full)
+    max_ti = profile.max_ti
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return PipelineReport(
         completion=completion,
@@ -116,9 +114,9 @@ def run_pipeline(
         weights=w,
         violations=violations,
         max_ti=max_ti,
-        ki=ki,
+        ki=1.0 - 1.0 / max_ti,
         lambda_max=lam,
-        theta_prefix=prefix,
+        theta_prefix=tuple(profile.theta[:THETA_PREFIX_LEN].tolist()),
         runtime_ms=runtime_ms,
     )
 

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import pcmlex
+import pcmlex.harness as harness
 from pcmlex.cli import main
 from pcmlex.completion import lex_optimal_completion
 from pcmlex.errors import PcmError
 from pcmlex.fileio import dumps_dag, dumps_matrix, loads_dag, loads_matrix
 from pcmlex.graph import build_dag
-from pcmlex.harness import verify_theorem1
+from pcmlex.harness import run_pipeline, verify_theorem1
 
 from conftest import FIG2_ARCS_1BASED
 
@@ -110,6 +111,25 @@ class TestWeights:
         assert code == 0
         assert len(capsys.readouterr().out.split()) == 7
 
+    def test_csv_on_complete_matrix(self, tmp_path, capsys):
+        m = tmp_path / "full.txt"
+        m.write_text("3\n1 2 4\n0.5 1 2\n0.25 0.5 1\n")
+        code = main(["weights", str(m), "--method", "em", "--format", "csv"])
+        assert code == 0
+        w = pcmlex.eigenvector_weights(loads_matrix(m.read_text()).to_complete()).weights.w
+        assert capsys.readouterr().out == ",".join(f"{x:.12g}" for x in w) + "\n"
+        assert w == pytest.approx([4 / 7, 2 / 7, 1 / 7], rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["matrix", "dag"])
+    def test_input_kind_read_as_given(self, ex2_file, fig2_file, kind, capsys):
+        # each kind reads its own file, and fails on the other kind's
+        own, other = (ex2_file, fig2_file) if kind == "matrix" else (fig2_file, ex2_file)
+        argv = ["weights", "--method", "llsm", "--input-kind", kind, "--alpha", "2"]
+        assert main([*argv, own]) == 0
+        assert len(capsys.readouterr().out.split()) == (4 if kind == "matrix" else 7)
+        assert main([*argv, other]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_dag_without_alpha_exit_2(self, fig2_file):
         assert main(["weights", fig2_file, "--method", "llsm"]) == 2
 
@@ -184,6 +204,19 @@ class TestPipeline:
         assert code == 0
         assert "violations: 0" in out
 
+    def test_text_lists_violations(self, fig2_file, capsys):
+        # GCI with LLSM breaks the ordinal order on the witness graph
+        argv = ["--completion", "gci", "--weighting", "llsm", "--alpha", "2"]
+        code = main(["pipeline", fig2_file, *argv])
+        out = capsys.readouterr().out
+        a = pcmlex.dag_to_incomplete_matrix(loads_dag(Path(fig2_file).read_text()), 2.0)
+        violations = run_pipeline(a, "gci", "llsm").violations
+        assert code == 0 and violations
+        assert f"violations: {len(violations)}\n" in out
+        for v in violations:
+            weights = f"w_i={v.w_i:.6g} w_j={v.w_j:.6g}"
+            assert f"  ({v.i + 1},{v.j + 1}) a={v.value:.6g} {weights} [{v.kind}]\n" in out
+
     def test_csv_format(self, fig2_file, capsys):
         code = main([
             "pipeline", fig2_file, "--completion", "lex", "--weighting", "llsm",
@@ -243,6 +276,26 @@ class TestVerifyTheorem1Command:
         for e in errors:
             assert f"{type(e).__name__}: {e.render(1)}\n" in out
 
+    def test_violation_exit_1(self, monkeypatch, capsys):
+        # LLSM weights inverted rank every stated preference backwards
+        llsm = harness.llsm_weights
+
+        def inverted(m):
+            return pcmlex.WeightVector.from_raw(1.0 / llsm(m).w)
+
+        monkeypatch.setattr(harness, "llsm_weights", inverted)
+        code = main(["verify-theorem1", "--trials", "3", "--n-max", "5", "--seed", "2"])
+        out = capsys.readouterr().out
+        summary = verify_theorem1(3, 5, seed=2)
+        assert code == 1 and len(summary.violation_failures) == 3
+        assert "violations=3 solver_failures=0" in out and "PASS" not in out
+        for fail in summary.violation_failures:
+            head = (
+                f"VIOLATION trial={fail.trial} n={fail.n} alpha={fail.alpha} "
+                f"seed={fail.seed} weighting=llsm\n"
+            )
+            assert head + fail.matrix_text in out
+
     @pytest.mark.parametrize(
         "argv,name",
         [
@@ -270,6 +323,25 @@ class TestSweepAlphaCommand:
         assert code == 0
         assert out[0] == "alpha,method_pair,n_violations,max_ti,ki,lambda_max,runtime_ms"
         assert len(out) == 3
+
+    def test_text_rows_keep_alpha_digits(self, fig2_file, capsys):
+        grid = ["--alpha-min", "1.000001", "--alpha-max", "1.000003", "--step", "0.000001"]
+        code = main(["sweep-alpha", fig2_file, "--completion", "gci", "--weighting", "llsm", *grid])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [ln.split()[:2] for ln in lines] == [
+            [f"alpha=1.00000{k}", "gci+llsm"] for k in (1, 2, 3)
+        ]
+        assert all("violations=" in ln and "lambda_max=" in ln for ln in lines)
+
+    def test_text_solver_failure_row(self, fig2_file, capsys):
+        # at alpha = 1e300 the GCI completion leaves float64: the row says so
+        grid = ["--alpha-min", "1e300", "--alpha-max", "1e300", "--step", "1"]
+        code = main(["sweep-alpha", fig2_file, "--completion", "gci", "--weighting", "llsm", *grid])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "alpha=1e+300 gci+llsm  violations=-1  max_ti=nan  ki=nan  lambda_max=nan\n"
+        )
 
     @pytest.mark.parametrize(
         "grid",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -16,12 +17,14 @@ from pcmlex import (
     build_dag,
     check_ordinal_violation,
     dag_to_incomplete_matrix,
+    eigenvector_weights,
     gci_optimal_completion,
     inconsistency_profile,
     is_consistent,
     koczkodaj_ki,
     llsm_weights,
     ratio_matrix,
+    run_pipeline,
     saaty_lambda_max,
     triad_ti,
     validate_reciprocal,
@@ -32,7 +35,6 @@ from pcmlex.errors import (
     CompletionOverflowError,
     DimensionMismatchError,
     InvalidInputError,
-    MatrixTooSmallError,
     NonPositiveEntryError,
     NonSquareError,
     ReciprocityViolationError,
@@ -282,6 +284,12 @@ class TestValidation:
         )
         assert m.missing_pairs == ((0, 2),)
 
+    def test_matrix_object_is_not_a_raw_array(self, example2):
+        # only raw arrays are validated; a matrix is already valid
+        for m in (example2, ratio_matrix([1, 2, 4])):
+            with pytest.raises(NonSquareError):
+                validate_reciprocal(m)
+
 
 class TestConsistency:
     def test_ratio_matrix_is_consistent(self):
@@ -375,8 +383,12 @@ class TestProfile:
         assert inconsistency_profile(m).theta.shape == (1,)
 
     def test_too_small(self):
-        with pytest.raises(MatrixTooSmallError):
-            inconsistency_profile(CompleteMatrix.from_array([[1, 2], [0.5, 1]]))
+        # n = 2 has no triad: an empty profile, whose max TI is that of a consistent triad
+        m = CompleteMatrix.from_array([[1, 2], [0.5, 1]])
+        prof = inconsistency_profile(m)
+        assert prof.theta.shape == (0,) and prof.triad_map == {}
+        assert prof.max_ti == 1.0
+        assert koczkodaj_ki(m) == 0.0
 
     def test_consistency_iff_profile_at_one(self):
         rng = np.random.default_rng(13)
@@ -573,3 +585,58 @@ class TestWeightVector:
             assert np.array_equal(plain, w / w.sum())
             for k in (-1000, -1, 1, 1000):
                 assert np.array_equal(WeightVector.from_raw(np.ldexp(w, k)).w, plain)
+
+
+class TestValueEquality:
+    """Matrices, weights and profiles compare by value: arrays exactly, NaN equal to NaN."""
+
+    @staticmethod
+    def _pairs():
+        """(value, the same value built independently, that value perturbed in one entry)."""
+        up = np.nextafter(2.0, 3.0)
+        perturbed = np.array(EXAMPLE2_RAW, dtype=float)
+        perturbed[0, 1], perturbed[1, 0] = up, 1 / up
+        return [
+            (ratio_matrix([1, 2, 4]), ratio_matrix([1, 2, 4]), ratio_matrix([1, up, 4])),
+            (  # NaN at the missing pairs
+                validate_reciprocal(EXAMPLE2_RAW),
+                validate_reciprocal(EXAMPLE2_RAW),
+                validate_reciprocal(perturbed),
+            ),
+            (
+                WeightVector.from_raw([1, 2, 4]),
+                WeightVector.from_raw([1, 2, 4]),
+                WeightVector.from_raw([1, up, 4]),
+            ),
+            (
+                inconsistency_profile(CompleteMatrix.from_array(EXAMPLE2_COMPLETED)),
+                inconsistency_profile(CompleteMatrix.from_array(EXAMPLE2_COMPLETED)),
+                inconsistency_profile(ratio_matrix([1, 2, 4, 8])),
+            ),
+            (
+                eigenvector_weights(ratio_matrix([1, 2, 4])),
+                eigenvector_weights(ratio_matrix([1, 2, 4])),
+                eigenvector_weights(ratio_matrix([1, up, 4])),
+            ),
+        ]
+
+    def test_equal_values_built_apart(self):
+        for x, y, z in self._pairs():
+            assert x == y and not x != y, type(x).__name__
+            assert x != z and not x == z, type(x).__name__
+
+    def test_pipeline_report_by_value(self, fig2_dag):
+        a = dag_to_incomplete_matrix(fig2_dag, 2.0)
+        first, second = run_pipeline(a, "gci", "llsm"), run_pipeline(a, "gci", "llsm")
+        assert first.violations and first.weights.w is not second.weights.w
+        assert dataclasses.replace(second, runtime_ms=first.runtime_ms) == first
+
+    def test_types_and_shapes_differ(self):
+        assert ratio_matrix([1, 2]) != validate_reciprocal([[1, 2], [0.5, 1]])
+        assert ratio_matrix([1, 2]) != ratio_matrix([1, 2, 4])
+        assert WeightVector.from_raw([1, 2]) != [1 / 3, 2 / 3]
+
+    def test_unhashable(self):
+        for x, _, _ in self._pairs():
+            with pytest.raises(TypeError):
+                hash(x)

@@ -11,7 +11,6 @@ from pcmlex.fileio import (
     loads_matrix,
     parse_entry,
     read_matrix,
-    write_matrix,
 )
 
 from conftest import EXAMPLE2_RAW, random_incomplete
@@ -83,7 +82,7 @@ class TestMatrixFormat:
     def test_write_read_file(self, tmp_path, example2):
         path = tmp_path / "m.txt"
         m, _ = lex_optimal_completion(example2)
-        write_matrix(m, path)
+        path.write_text(dumps_matrix(m))
         back = read_matrix(path)
         assert np.allclose(back.entries, m.entries, rtol=5e-12)
 

@@ -5,7 +5,9 @@ import pytest
 
 import pcmlex.harness as harness
 from pcmlex import (
+    WeightVector,
     alpha_grid,
+    build_dag,
     dag_to_incomplete_matrix,
     lex_optimal_completion,
     run_pipeline,
@@ -32,6 +34,13 @@ class TestPipeline:
         a = dag_to_incomplete_matrix(fig2_dag, 2.0)
         report = run_pipeline(a, "gci", "llsm")
         assert len(report.violations) >= 1
+
+    def test_two_items_no_triad(self):
+        # n = 2 takes the general path: an empty profile, max TI 1 and KI 0
+        a = dag_to_incomplete_matrix(build_dag(2, [(0, 1)]), 3.0)
+        for completion in ("lex", "gci", "cr"):
+            report = run_pipeline(a, completion, "em")
+            assert (report.max_ti, report.ki, report.theta_prefix) == (1.0, 0.0, ())
 
     def test_lambda_max_of_completion(self, fig2_dag):
         a = dag_to_incomplete_matrix(fig2_dag, 2.0)
@@ -111,6 +120,23 @@ class TestVerifyTheorem1:
         with pytest.raises(ValueError, match=name):
             verify_theorem1(**kwargs)
 
+    def test_violation_recorded(self, monkeypatch):
+        # LLSM weights inverted rank every stated preference backwards: each
+        # such audit is a violation failure, with its matrix and no error
+        llsm = harness.llsm_weights
+
+        def inverted(m):
+            return WeightVector.from_raw(1.0 / llsm(m).w)
+
+        monkeypatch.setattr(harness, "llsm_weights", inverted)
+        summary = verify_theorem1(trials=4, n_max=5, seed=3)
+        assert not summary.passed and not summary.solver_failures
+        assert len(summary.violation_failures) == 4
+        for fail in summary.violation_failures:
+            assert fail.weighting == "llsm" and fail.error is None
+            assert all(v.kind == "strict" for v in fail.violations) and fail.violations
+            assert fail.matrix_text.startswith(f"{fail.n}\n")
+
     def test_gci_completion_fails_somewhere(self, fig2_dag):
         # sanity check that the harness can see violations at all: the
         # weight-ratio completion is known to break ordinal order on the
@@ -180,6 +206,16 @@ class TestSweep:
         assert [(r.alpha, r.n_violations, r.max_ti) for r in first] == [
             (r.alpha, r.n_violations, r.max_ti) for r in second
         ]
+
+    def test_solver_failure_row(self, fig2_dag):
+        # at alpha = 1e300 the GCI completion leaves float64: that row records
+        # the failure and the sweep goes on
+        rows = sweep_alpha(fig2_dag, "gci", "llsm", alphas=(2.0, 1e300, 3.0))
+        assert [r.n_violations == -1 for r in rows] == [False, True, False]
+        failed = rows[1]
+        assert (failed.alpha, failed.method_pair) == (1e300, "gci+llsm")
+        assert all(math.isnan(x) for x in (failed.max_ti, failed.ki, failed.lambda_max))
+        assert failed.runtime_ms >= 0.0
 
     def test_gci_sweep_finds_violation(self, fig2_dag):
         rows = sweep_alpha(fig2_dag, "gci", "llsm", alphas=(1.5, 2.0, 4.0))

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pcmlex
@@ -133,6 +134,25 @@ def test_lex_cdag_corpus_work_pinned(monkeypatch):
     assert len(stages) == sum(s.stages for s in states) == 692
     assert sum(s.pivots for s in states) == 1_607
     assert freezes == 3_597
+
+
+def test_solve_lp_runs_only_while_a_triad_is_active(monkeypatch, example2):
+    # solve_lp's precondition: some triad is active, so some row blocks; the
+    # run records the bound of a batch that freezes the last triads itself
+    states, stages = _counting_lex(monkeypatch)
+    counting_lp = completion_module.solve_lp
+
+    def checking_lp(state):
+        assert np.isnan(state.bound).any()
+        return counting_lp(state)
+
+    monkeypatch.setattr(completion_module, "solve_lp", checking_lp)
+    workload = _load_perfbench("workloads").lex_cdag(1)
+    for a in [*(slot.matrix for slot in workload.slots), example2]:
+        completion_module._memo.clear()
+        pcmlex.lex_optimal_completion(a)
+    assert len(stages) == sum(s.stages for s in states) == 692 + 2  # the corpus, then Example 2
+    assert any(not np.isnan(s.bound).any() for s in states)  # a run that froze every triad
 
 
 @pytest.mark.parametrize("n, density", [(10, 0.3), (12, 0.3), (15, 0.6)])
