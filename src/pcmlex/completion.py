@@ -41,11 +41,13 @@ from .core import (
     _with_pairs,
 )
 from .errors import ConvergenceFailureError, NoBindingDualFoundError
-from .simplex import MAX_PIVOTS, PIVOT_TOL, RATIO_TIE_TOL
 from .weighting import _llsm_logs
 
 OBJ_RTOL = 1e-9  # objective below this times max |const| counts as zero
 DUAL_TOL = 1e-9  # |triad dual| above this freezes it; absolute, as the active duals sum to -1
+PIVOT_TOL = 1e-9  # an entry must exceed this in magnitude to be pivoted on
+RATIO_TIE_TOL = 1e-12  # relative: ratios this close to the least one tie
+MAX_PIVOTS = 50_000
 LOG_QUANTUM = 2.0**-46  # about 1.4e-14: the relative grid of the unit-free logs the lex run solves
 _memo: dict = {}  # the last lex run's result by its input; one entry, see lex_optimal_completion
 

@@ -31,7 +31,7 @@ from .core import (
 )
 from .errors import PcmError
 from .fileio import dumps_matrix
-from .graph import PreferenceDag, dag_to_incomplete_matrix, random_cdag
+from .graph import PreferenceDag, _check_alpha, dag_to_incomplete_matrix, random_cdag
 from .weighting import eigenvector_weights, llsm_weights
 
 # Lambdas, not the functions: each looks its function up by module-global
@@ -165,6 +165,7 @@ def verify_theorem1(
 
     Raises:
         ValueError: trials < 1, not 2 <= n_min <= n_max, or no alphas.
+        AlphaNotGreaterThanOneError: some alpha is not finite and above 1, before any trial.
     """
     if trials < 1:
         raise ValueError(f"trials = {trials} must be at least 1")
@@ -172,6 +173,8 @@ def verify_theorem1(
         raise ValueError(f"need 2 <= n_min <= n_max, got n_min = {n_min}, n_max = {n_max}")
     if not alphas:
         raise ValueError("alphas must hold at least one alpha")
+    for alpha in alphas:
+        _check_alpha(alpha)
     rng = np.random.default_rng(seed)
     violation_failures: list[TrialFailure] = []
     solver_failures: list[TrialFailure] = []
@@ -259,10 +262,12 @@ def sweep_alpha(
     Raises:
         ValueError: unknown completion or weighting method, or an ``eq_tol``
             that is not finite and >= 0, before any alpha.
+        AlphaNotGreaterThanOneError: some alpha is not finite and above 1, before any alpha.
     """
     _check_pipeline_args(completion, weighting, eq_tol)
-    if alphas is None:
-        alphas = alpha_grid()
+    alphas = alpha_grid() if alphas is None else alphas
+    for alpha in alphas:
+        _check_alpha(alpha)
     pair = f"{completion}+{weighting}"
     rows: list[SweepRow] = []
     for alpha in alphas:

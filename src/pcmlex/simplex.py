@@ -18,8 +18,8 @@ from scratch would give. The tableau's slack block is the inverse of the
 basis matrix, so the optimal row duals are minus the slack reduced costs.
 
 The lexicographic completion does not call this solver: it runs one
-parametric tableau per completion (``completion.solve_lp``), with the
-pivot tolerances and the pivot budget defined here.
+parametric tableau per completion (``completion.solve_lp``). The pivot
+tolerances and the pivot budget are that run's, defined in ``completion``.
 """
 
 from __future__ import annotations
@@ -28,11 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .completion import MAX_PIVOTS, PIVOT_TOL, RATIO_TIE_TOL
 from .errors import ConvergenceFailureError, InfeasibleProblemError, UnboundedProblemError
-
-PIVOT_TOL = 1e-9
-RATIO_TIE_TOL = 1e-12
-MAX_PIVOTS = 50_000
 
 
 @dataclass(frozen=True)

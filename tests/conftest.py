@@ -1,10 +1,13 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import pcmlex.completion
 from pcmlex import IncompleteMatrix, build_dag, validate_reciprocal
+from pcmlex.completion import LexLpState
+from oracles import LexStage, cycle_structure, lex_stage
 
 # Worked 4x4 instance: a12=2, a24=8, a23=a34=1, pairs (1,3) and (1,4) missing.
 EXAMPLE2_RAW = [
@@ -25,6 +28,60 @@ FIG2_ARCS_1BASED = [
 def _empty_lex_memo():
     """Each test starts with no lex result kept, whatever the tests before it solved."""
     pcmlex.completion._memo.clear()
+
+
+@dataclass
+class RecordedStage:
+    """One ``solve_lp`` call of a lex run."""
+
+    state: LexLpState  # the state it was called with
+    pivots: tuple[int, int]  # the run's pivot count before and after the call
+    bound: np.ndarray  # a copy of the frozen bounds at entry, NaN while active
+    slacks: np.ndarray  # the basic slacks' values at entry
+    lex: LexStage  # what it returned and what its tableau shows, by ``oracles.lex_stage``
+
+
+@dataclass
+class RecordedRun:
+    """One lex run: the state ``build_lex_lp`` returned, its cycle sums and its stages."""
+
+    state: LexLpState
+    coef: np.ndarray  # cycle sums const + coef @ t of the state's logs, in its triad order
+    const: np.ndarray
+    stages: list[RecordedStage]
+
+
+@pytest.fixture
+def lex_runs(monkeypatch):
+    """Every lex run solved while the test runs, in order, as ``RecordedRun``.
+
+    Wraps the module globals ``completion.build_lex_lp`` and
+    ``completion.solve_lp``, the seams the benchmark's tracer counts, and
+    asserts ``solve_lp``'s precondition on every call: some triad is
+    still active, so some row blocks.
+    """
+    runs = []
+    build, stage_lp = pcmlex.completion.build_lex_lp, pcmlex.completion.solve_lp
+
+    def recording_build(a, logs):
+        state = build(a, logs)
+        _, _, const, coef = cycle_structure(a, logs, state.triads)
+        runs.append(RecordedRun(state, coef, const, []))
+        return state
+
+    def recording_lp(state):
+        assert np.isnan(state.bound).any()
+        run, pivots, bound = runs[-1], state.pivots, state.bound.copy()
+        x = state.tab[:, -2] - state.w * state.tab[:, -1]
+        slacks = x[state.basic >= len(state.nonbasic)]
+        result = stage_lp(state)
+        lex = lex_stage(state, result, run.coef, run.const)
+        run.stages.append(RecordedStage(state, (pivots, state.pivots), bound, slacks, lex))
+        return result
+
+    monkeypatch.setattr(pcmlex.completion, "build_lex_lp", recording_build)
+    monkeypatch.setattr(pcmlex.completion, "solve_lp", recording_lp)
+    return runs
 
 
 @pytest.fixture

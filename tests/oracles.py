@@ -6,7 +6,8 @@ exhaustive grids or SciPy's HiGHS instead of the lex run's parametric
 tableau, and grids instead of the damped-Newton CR solve. ``lex_stage``
 reads one stage of the lex run off its tableau, for the checks the run
 itself does not make, and ``cycle_structure`` gives the cycle sums those
-checks are made on.
+checks are made on. The ``lex_runs`` fixture in ``conftest`` records a
+``LexStage`` for every stage of every lex run a test makes.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from pcmlex import IncompleteMatrix
-from pcmlex.simplex import PIVOT_TOL, RATIO_TIE_TOL
+from pcmlex.completion import PIVOT_TOL, RATIO_TIE_TOL
 
 
 def power_iteration_reference(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -75,37 +76,16 @@ def perron_root_batch(mats: np.ndarray) -> np.ndarray:
 class LexStage:
     """One stage of the lex run: what ``solve_lp`` returned and what its tableau shows.
 
-    ``feasibility_residual`` and ``duality_gap`` are computed when read,
-    from the stage's own data in ``_stage``: the run's ``coef`` and
-    ``const`` (see ``cycle_structure``), the state's ``scale``, the stage's
-    w, a copy of the bounds it saw and the certificate's per-triad slack
-    sums ``pair`` (plus + minus row) and ``diff`` (plus - minus). A stage
-    with no certificate has none, and reads 0 for both.
+    Plain values, all computed by ``lex_stage`` when it builds the record,
+    so a record read after the run still holds its own stage's values.
     """
 
     objective: float  # the level solve_lp returned
     priced: np.ndarray  # the triad positions solve_lp returned
     t: np.ndarray  # the point at the stage's w, in missing_pairs order
     duals: np.ndarray  # (T,) dual on each triad's bounding pair (<= 0), 0 on a frozen one
-    _stage: tuple | None
-
-    @property
-    def feasibility_residual(self) -> float:
-        """Largest |cycle sum| above the level on an active triad, or off its bound on a frozen one."""
-        if self._stage is None:
-            return 0.0
-        coef, const, _, _, bound, _, _ = self._stage
-        abs_s = np.abs(const + coef @ self.t)
-        off = np.where(np.isnan(bound), abs_s - self.objective, np.abs(abs_s - bound))
-        return float(np.max(off, initial=0.0))
-
-    @property
-    def duality_gap(self) -> float:
-        """|y @ rhs - w| for the certificate's combination y of the original rows."""
-        if self._stage is None:
-            return 0.0
-        _, const, z0, w, bound, pair, diff = self._stage
-        return abs(pair @ np.where(np.isnan(bound), z0, bound) - diff @ const - w)
+    feasibility_residual: float  # largest |cycle sum| above the level (active) or off its bound
+    duality_gap: float  # |y @ rhs - w| for the certificate's row combination y; 0 with none
 
 
 def lex_stage(state, result: tuple[float, np.ndarray], coef, const) -> LexStage:
@@ -118,7 +98,9 @@ def lex_stage(state, result: tuple[float, np.ndarray], coef, const) -> LexStage:
     stage's own ratio test on the tableau it stopped at; its duals are the
     mean of those rows' slack entries over their rates, so also on a last
     stage, whose certificate the run does not read. Where nothing blocks
-    there is no certificate and the duals are 0.
+    there is no certificate and the duals are 0. The duality gap is that of
+    the certificate's combination y of the original rows, whose slack sums
+    per triad are ``pair`` (plus + minus row) and ``diff`` (plus - minus).
     """
     level, priced = result
     tab, basic, nonbasic = state.tab, state.basic, state.nonbasic
@@ -127,12 +109,15 @@ def lex_stage(state, result: tuple[float, np.ndarray], coef, const) -> LexStage:
     value, rate = tab.take(t_rows, axis=0)[:, -2:].T
     t = np.zeros(m)
     t[basic[t_rows]] = value - state.w * rate
+    abs_s = np.abs(const + coef @ t)
+    off = np.where(active, abs_s - level, np.abs(abs_s - state.bound))
+    residual = float(np.max(off, initial=0.0))
     rate = tab[:, -1]
     ratios = np.full(len(basic), np.inf)
     np.divide(tab[:, -2], rate, out=ratios, where=state.leaves & (rate > PIVOT_TOL))
     w = ratios.min()
     if w == np.inf:
-        return LexStage(level, priced, t, np.zeros(len(active)), None)
+        return LexStage(level, priced, t, np.zeros(len(active)), residual, 0.0)
     tied = (ratios <= w + RATIO_TIE_TOL * z0).nonzero()[0]
     entries = tab.take(tied, axis=0)[:, :-2]
     certificates = tied[~((entries < state.lo) | (entries > state.hi)).any(axis=1)]
@@ -143,21 +128,22 @@ def lex_stage(state, result: tuple[float, np.ndarray], coef, const) -> LexStage:
     y[basic[certificates]] += share
     plus, minus = y[m::2], y[m + 1 :: 2]
     pair = plus + minus
-    stage = (coef, const, z0, state.w, state.bound.copy(), pair, plus - minus)
-    return LexStage(level, priced, t, np.where(active, -pair, 0.0), stage)
+    gap = float(abs(pair @ np.where(active, z0, state.bound) - (plus - minus) @ const - state.w))
+    return LexStage(level, priced, t, np.where(active, -pair, 0.0), residual, gap)
 
 
-def cycle_structure(a: IncompleteMatrix, logs: np.ndarray | None = None):
+def cycle_structure(a: IncompleteMatrix, logs: np.ndarray | None = None, triads=None):
     """(pairs, triads, const, coef) of all triad log-cycle sums.
 
     The known log entries are read from ``logs`` where given, as
     ``completion.build_lex_lp`` reads them, and are log a's entries if not.
+    The triads are taken in the order of ``triads`` where given.
     """
     if logs is None:
         logs = np.log(np.where(a.known, a.entries, 1.0))
     pairs = a.missing_pairs
     var_of = {p: e for e, p in enumerate(pairs)}
-    triads = list(itertools.combinations(range(a.n), 3))
+    triads = list(itertools.combinations(range(a.n), 3) if triads is None else triads)
     const = np.zeros(len(triads))
     coef = np.zeros((len(triads), len(pairs)))
     for pos, (i, j, k) in enumerate(triads):

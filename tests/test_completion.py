@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,12 +42,10 @@ from pcmlex.errors import (
 
 from conftest import FIG2_ARCS_1BASED, random_incomplete, random_reciprocal, random_tree_matrix
 from oracles import (
-    cr_lambda_grid_oracle,
     cycle_structure,
     lex_highs_oracle,
     lex_less_equal,
     lex_stage,
-    lex_ti_grid_oracle,
     perron_root_batch,
     power_iteration_reference,
 )
@@ -73,64 +72,18 @@ def _sums(a, logs=None):
     return coef, const
 
 
-def _recording_builds(monkeypatch):
-    """Record each ``build_lex_lp`` call as (state, coef, const), the last two from its logs."""
-    builds = []
-    build = completion.build_lex_lp
-
-    def recording_build(a, logs):
-        builds.append((build(a, logs), *_sums(a, logs)))
-        return builds[-1][0]
-
-    monkeypatch.setattr(completion, "build_lex_lp", recording_build)
-    return builds
-
-
-def _traced_lex(monkeypatch, a):
-    """Lex completion of ``a``, solved afresh: its run state and every stage, in order."""
-    builds, stages = _recording_builds(monkeypatch), []
-    stage_lp = completion.solve_lp
-
-    def recording_lp(state):
-        result = stage_lp(state)
-        stages.append(lex_stage(state, result, *builds[-1][1:]))
-        return result
-
-    monkeypatch.setattr(completion, "solve_lp", recording_lp)
-    completion._memo.clear()
-    completion.lex_optimal_completion(a)
-    return builds[0][0], stages
-
-
-def _reordered_triads(mp, triads):
-    """Make ``build_lex_lp`` read ``triads`` as its triad table and the next lex call solve afresh.
-
-    Returns the states it builds.
-    """
-    table = (tuple(triads), np.array(triads, dtype=int).reshape(-1, 3))
-    states = []
-    build = completion.build_lex_lp
-
-    def recording_build(*args):
-        states.append(build(*args))
-        return states[-1]
-
-    mp.setattr(completion, "_triad_table", lambda n: table)
-    mp.setattr(completion, "build_lex_lp", recording_build)
-    completion._memo.clear()
-    return states
-
-
-def _fixed(state, coef):
-    """(T,) bool, the triads whose cycle sum the frozen triads' cycle sums determine."""
-    _, sv, vt = np.linalg.svd(coef[~np.isnan(state.bound)])  # full vt, also with no row
+def _fixed(bound, coef):
+    """(T,) bool, the triads whose cycle sum the cycle sums frozen in ``bound`` determine."""
+    _, sv, vt = np.linalg.svd(coef[~np.isnan(bound)])  # full vt, also with no row
     free = vt[int(np.sum(sv > 1e-9)) :].T  # directions that keep every frozen cycle sum
     return np.all(np.abs(coef @ free) <= 1e-9, axis=1)
 
 
+FIG2 = build_dag(7, [(i - 1, j - 1) for i, j in FIG2_ARCS_1BASED])
+
+
 def _warm_start_inputs():
-    fig2 = build_dag(7, [(i - 1, j - 1) for i, j in FIG2_ARCS_1BASED])
-    cases = [pytest.param(fig2, alpha, id=f"fig2-{alpha}") for alpha in (1.1, 5.0, 9.0)]
+    cases = [pytest.param(FIG2, alpha, id=f"fig2-{alpha}") for alpha in (1.1, 5.0, 9.0)]
     return cases + [pytest.param(random_cdag(10, 0.3, 123), 5.0, id="cdag10-5.0")]
 
 
@@ -236,186 +189,102 @@ class TestSolveLp:
         assert sol.objective <= 1e-9
 
     @pytest.mark.parametrize("dag,alpha", _warm_start_inputs())
-    def test_every_stage_starts_feasible(self, monkeypatch, dag, alpha):
+    def test_every_stage_starts_feasible(self, lex_runs, dag, alpha):
         # every stage starts where the last one ended, at a primal-feasible
         # basis (every basic slack >= 0; a basic t is free); it ends at a
         # certificate whose duals price only triads at the level, and whose
         # residual and gap on the original rows are small; the stage returns
         # the triads its certificate prices, and none on the last stage
-        stage_lp = completion.solve_lp
-        builds, stages = _recording_builds(monkeypatch), []
-
-        def checking_lp(state):
-            x = state.tab[:, -2] - state.w * state.tab[:, -1]
-            slack = state.basic >= len(state.nonbasic)
-            assert np.all(x[slack] >= -1e-9 * state.scale)
-            result = stage_lp(state)
-            _, coef, const = builds[-1]
-            sol = lex_stage(state, result, coef, const)
-            stages.append(sol)
-            priced = np.abs(sol.duals) > completion.DUAL_TOL
-            s = np.abs(const + coef @ sol.t)
-            assert np.all(np.abs(s[priced] - sol.objective) <= 1e-9 * state.scale)
-            assert sol.duals.sum() == pytest.approx(-1.0, abs=1e-9)
-            last = sol.objective <= completion.OBJ_RTOL * state.scale
-            assert sol.priced.tolist() == ([] if last else priced.nonzero()[0].tolist())
-            return result
-
-        monkeypatch.setattr(completion, "solve_lp", checking_lp)
         completion.lex_optimal_completion(dag_to_incomplete_matrix(dag, alpha))
-        assert len(stages) > 1
-        for sol in stages:
+        [run] = lex_runs
+        z0 = run.state.scale
+        assert len(run.stages) > 1
+        for stage in run.stages:
+            sol = stage.lex
+            assert np.all(stage.slacks >= -1e-9 * z0)
+            priced = np.abs(sol.duals) > completion.DUAL_TOL
+            s = np.abs(run.const + run.coef @ sol.t)
+            assert np.all(np.abs(s[priced] - sol.objective) <= 1e-9 * z0)
+            assert sol.duals.sum() == pytest.approx(-1.0, abs=1e-9)
+            last = sol.objective <= completion.OBJ_RTOL * z0
+            assert sol.priced.tolist() == ([] if last else priced.nonzero()[0].tolist())
             assert sol.feasibility_residual <= 1e-9
             assert sol.duality_gap <= 1e-7
 
     @pytest.mark.parametrize("dag,alpha", _warm_start_inputs())
-    def test_frozen_cycle_sums_stay_fixed(self, monkeypatch, dag, alpha):
+    def test_frozen_cycle_sums_stay_fixed(self, lex_runs, dag, alpha):
         # every later stage's point keeps each frozen |s| at its bound
-        freeze, stage_lp = completion.LexLpState.freeze, completion.solve_lp
-        builds, freezes, later = _recording_builds(monkeypatch), [], []
-
-        def counting_freeze(state, pos, bound):
-            freeze(state, pos, bound)
-            freezes.append(bound)
-
-        def checking_lp(state):
-            result = stage_lp(state)
-            _, coef, const = builds[-1]
-            sol = lex_stage(state, result, coef, const)
-            frozen = ~np.isnan(state.bound)
-            s = np.abs((const + coef @ sol.t)[frozen])
-            assert np.all(np.abs(s - state.bound[frozen]) <= completion.OBJ_RTOL * state.scale)
-            later.append(int(frozen.sum()))
-            return result
-
-        monkeypatch.setattr(completion.LexLpState, "freeze", counting_freeze)
-        monkeypatch.setattr(completion, "solve_lp", checking_lp)
         completion.lex_optimal_completion(dag_to_incomplete_matrix(dag, alpha))
-        assert len(freezes) > 1 and max(later) > 0
+        [run] = lex_runs
+        for stage in run.stages:
+            frozen = ~np.isnan(stage.bound)
+            s = np.abs((run.const + run.coef @ stage.lex.t)[frozen])
+            assert np.all(np.abs(s - stage.bound[frozen]) <= completion.OBJ_RTOL * run.state.scale)
+        assert len(run.stages) > 2  # each stage after the first follows a freeze
 
     @pytest.mark.parametrize("a", _stage_inputs())
-    def test_pinned_triads_freeze_in_their_stage(self, monkeypatch, a):
+    def test_pinned_triads_freeze_in_their_stage(self, lex_runs, a):
         # an active triad that the frozen ones pin at the last stage's level
         # blocks the next stage at once: that stage keeps the level, takes no
         # pivot and prices every such triad
-        stage_lp = completion.solve_lp
-        builds, levels, points = _recording_builds(monkeypatch), [], []
-
-        def checking_lp(state):
-            _, coef, const = builds[-1]
-            pinned = np.zeros(len(state.triads), bool)
-            if levels:
-                s = np.abs(const + coef @ points[-1])  # at the last stage's point
-                at_level = np.abs(s - levels[-1]) <= completion.OBJ_RTOL * state.scale
-                pinned = np.isnan(state.bound) & _fixed(state, coef) & at_level
-            pivots = state.pivots
-            result = stage_lp(state)
-            sol = lex_stage(state, result, coef, const)
-            levels.append(sol.objective)
-            points.append(sol.t)
-            if pinned.any():
-                assert state.pivots == pivots
-                assert abs(sol.objective - levels[-2]) <= completion.OBJ_RTOL * state.scale
-                assert np.all(np.abs(sol.duals[pinned]) > completion.DUAL_TOL)
-            return result
-
-        monkeypatch.setattr(completion, "solve_lp", checking_lp)
         _, audit = completion.lex_optimal_completion(a)
-        assert audit and len(levels) > 1
+        [run] = lex_runs
+        tol = completion.OBJ_RTOL * run.state.scale
+        assert audit and len(run.stages) > 1
+        for last, stage in zip(run.stages, run.stages[1:]):
+            s = np.abs(run.const + run.coef @ last.lex.t)  # at the last stage's point
+            at_level = np.abs(s - last.lex.objective) <= tol
+            pinned = np.isnan(stage.bound) & _fixed(stage.bound, run.coef) & at_level
+            if pinned.any():
+                assert stage.pivots[0] == stage.pivots[1]
+                assert abs(stage.lex.objective - last.lex.objective) <= tol
+                assert np.all(np.abs(stage.lex.duals[pinned]) > completion.DUAL_TOL)
 
     @pytest.mark.parametrize("a", _stage_inputs())
-    def test_no_lp_on_an_empty_basis(self, monkeypatch, a):
+    def test_no_lp_on_an_empty_basis(self, lex_runs, a):
         # the kernel counts one stage per certificate and every pivot it
         # takes; once the frozen cycle sums fix t (no free direction is
         # left), each remaining level is one certificate with no pivot
-        stage_lp = completion.solve_lp
-        builds, calls, idle = _recording_builds(monkeypatch), [], []
-
-        def checking_lp(state):
-            all_fixed = bool(np.all(_fixed(state, builds[-1][1])))
-            pivots = state.pivots
-            result = stage_lp(state)
-            calls.append(state.pivots - pivots)
-            if all_fixed:
-                idle.append(state.pivots - pivots)
-            return result
-
-        monkeypatch.setattr(completion, "solve_lp", checking_lp)
-        state, stages = _traced_lex(monkeypatch, a)
-        assert state.stages == len(calls) == len(stages)
-        assert state.pivots == sum(calls)
-        assert idle == [0] * len(idle)
-
-    @pytest.mark.parametrize("a", _stage_inputs())
-    def test_diagnostics_read_after_the_run_are_the_stages_own(self, monkeypatch, a):
-        # the residual and gap are computed when read; read only after the
-        # whole run, each is still its stage's value, not one computed with
-        # the bounds of triads frozen later
-        stage_lp = completion.solve_lp
-        builds, stages, expected = _recording_builds(monkeypatch), [], []
-
-        def recording_lp(state):
-            result = stage_lp(state)
-            _, coef, const = builds[-1]
-            sol = lex_stage(state, result, coef, const)
-            s = np.abs(const + coef @ sol.t)
-            off = np.where(np.isnan(state.bound), s - sol.objective, np.abs(s - state.bound))
-            # a copy reads the stage's data now
-            expected.append((float(np.max(off, initial=0.0)), dataclasses.replace(sol).duality_gap))
-            stages.append(sol)
-            return result
-
-        monkeypatch.setattr(completion, "solve_lp", recording_lp)
         completion.lex_optimal_completion(a)
-        assert len(stages) > 1
-        assert [(sol.feasibility_residual, sol.duality_gap) for sol in stages] == expected
+        [run] = lex_runs
+        assert run.state.stages == len(run.stages)
+        assert run.state.pivots == sum(b - a for a, b in (s.pivots for s in run.stages))
+        for stage in run.stages:
+            if np.all(_fixed(stage.bound, run.coef)):
+                assert stage.pivots[0] == stage.pivots[1]
 
-    def test_pivot_count_pinned(self, monkeypatch):
-        # deterministic under Bland's rule: 39 pivots now, 48 when each log
-        # entry was split into two signed columns, 302 over the 19 stage LPs
-        # that each started a simplex from its slack basis, and about 40,000
-        # with every stage LP started from t = 0
-        a = dag_to_incomplete_matrix(random_cdag(10, 0.3, 123), 5.0)
-        state, _ = _traced_lex(monkeypatch, a)
-        assert state.pivots <= 45
+    @pytest.mark.parametrize(
+        "g, alpha, max_stages, max_pivots",
+        [
+            (random_cdag(10, 0.3, 123), 5.0, 24, 45),  # 19 stages, 39 pivots
+            (random_cdag(12, 0.3, 123), 5.0, 45, math.inf),  # 28 stages
+            (random_cdag(15, 0.3, 123), 5.0, 80, 100),  # 69 stages, 95 pivots
+            (random_cdag(15, 0.6, 123), 5.0, math.inf, math.inf),
+            *((FIG2, alpha, 10, math.inf) for alpha in (1.1, 5.0, 9.0)),  # 3 stages
+        ],
+        ids=["cdag10", "cdag12", "cdag15", "cdag15-dense", "fig2-1.1", "fig2-5.0", "fig2-9.0"],
+    )
+    def test_stage_and_pivot_count_pinned(self, lex_runs, g, alpha, max_stages, max_pivots):
+        # deterministic under Bland's rule; one build per run, and the tracer
+        # counts a stage per call of completion.solve_lp
+        completion.lex_optimal_completion(dag_to_incomplete_matrix(g, alpha))
+        [run] = lex_runs
+        assert all(stage.state is run.state for stage in run.stages)
+        assert 1 < len(run.stages) == run.state.stages <= max_stages
+        assert run.state.pivots <= max_pivots
 
-    def test_pivot_budget_guard(self, monkeypatch):
+    def test_pivot_budget_guard(self, monkeypatch, lex_runs):
         # a run that needs more pivots than MAX_PIVOTS stops with an error
         a = dag_to_incomplete_matrix(random_cdag(10, 0.3, 123), 5.0)
-        state, _ = _traced_lex(monkeypatch, a)
-        monkeypatch.setattr(completion, "MAX_PIVOTS", state.pivots)
+        completion.lex_optimal_completion(a)
+        pivots = lex_runs[0].state.pivots
+        monkeypatch.setattr(completion, "MAX_PIVOTS", pivots)
         completion._memo.clear()
         completion.lex_optimal_completion(a)
-        monkeypatch.setattr(completion, "MAX_PIVOTS", state.pivots - 1)
+        monkeypatch.setattr(completion, "MAX_PIVOTS", pivots - 1)
         completion._memo.clear()
         with pytest.raises(ConvergenceFailureError, match="pivots"):
             completion.lex_optimal_completion(a)
-
-    def test_lp_count_pinned(self, monkeypatch):
-        # each stage ends at a certificate and tied certificates freeze
-        # together; 18 stages now, 19 LPs when each stage was its own LP, 30
-        # when pinned triads waited one more LP and an empty basis still took
-        # LPs, 77 with frozen triads kept as inequality rows, 108 with one
-        # freeze per stage LP
-        a = dag_to_incomplete_matrix(random_cdag(10, 0.3, 123), 5.0)
-        state, stages = _traced_lex(monkeypatch, a)
-        assert state.stages == len(stages) <= 24
-
-    def test_lp_count_pinned_n12(self, monkeypatch):
-        # 29 stages now, 39 LPs when each stage was its own LP, 55 when
-        # pinned triads waited one more LP, 139 with frozen triads kept as
-        # inequality rows
-        a = dag_to_incomplete_matrix(random_cdag(12, 0.3, 123), 5.0)
-        state, stages = _traced_lex(monkeypatch, a)
-        assert state.stages == len(stages) <= 45
-        _assert_matches_highs(a)
-
-    @pytest.mark.parametrize("alpha", (1.1, 5.0, 9.0))
-    def test_lp_count_pinned_witness(self, monkeypatch, fig2_dag, alpha):
-        # 3 stages now, 9 LPs when each stage was its own LP, 15 when pinned
-        # triads waited one more LP
-        state, stages = _traced_lex(monkeypatch, dag_to_incomplete_matrix(fig2_dag, alpha))
-        assert state.stages == len(stages) <= 10
 
     def test_no_tight_triad_raises(self, monkeypatch, example2):
         # all-zero duals at a positive objective that no constant triad
@@ -495,20 +364,6 @@ class TestLexCompletion:
         theta = inconsistency_profile(m).theta
         assert theta == pytest.approx([8.0, 2.0, 2.0, 2.0], abs=1e-6)
 
-    def test_complete_input_identity(self):
-        a = validate_reciprocal([[1, 2], [0.5, 1]])
-        m, audit = lex_optimal_completion(a)
-        assert audit == []
-        assert np.array_equal(m.entries, a.entries)
-
-    def test_tree_consistent_no_freezes(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            a = random_tree_matrix(int(rng.integers(3, 8)), rng)
-            m, audit = lex_optimal_completion(a)
-            assert audit == []
-            assert is_consistent(m, 1e-9)
-
     def test_fig2_not_worse_than_closure(self, fig2_dag):
         alpha = 2.0
         a = dag_to_incomplete_matrix(fig2_dag, alpha)
@@ -516,18 +371,6 @@ class TestLexCompletion:
         theta_b = inconsistency_profile(b).theta
         theta_c = inconsistency_profile(transitive_closure_matrix(fig2_dag, alpha)).theta
         assert lex_less_equal(theta_b, theta_c, tol=1e-9)
-
-    def test_known_entries_and_reciprocity_exact(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            a = random_incomplete(5, 2, rng)
-            m, _ = lex_optimal_completion(a)
-            for i, j in a.known_pairs:
-                assert m.entries[i, j] == a.entries[i, j]
-                assert m.entries[j, i] == a.entries[j, i]
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    assert m.entries[j, i] == 1.0 / m.entries[i, j]
 
     def test_monotone_audit(self):
         rng = np.random.default_rng(13)
@@ -537,23 +380,6 @@ class TestLexCompletion:
             tis = [f.ti for f in audit]
             assert all(x >= y - 1e-9 for x, y in zip(tis, tis[1:]))
             assert [f.stage for f in audit] == list(range(1, len(audit) + 1))
-
-    def test_unique_under_triad_permutation(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        for trial in range(8):
-            a = random_incomplete(5, 2, rng)
-            base, audit = lex_optimal_completion(a)
-            triads = all_triads(5)
-            perm = [triads[int(k)] for k in rng.permutation(len(triads))]
-            assert perm != triads
-            with monkeypatch.context() as mp:
-                states = _reordered_triads(mp, perm)
-                permuted, audit_p = lex_optimal_completion(a)
-            assert [s.triads for s in states] == [tuple(perm)]
-            assert np.max(np.abs(permuted.entries - base.entries)) <= 1e-7
-            # the canonical audit order does not depend on the triad order
-            assert [(f.triad, f.stage) for f in audit_p] == [(f.triad, f.stage) for f in audit]
-            assert [f.ti for f in audit_p] == pytest.approx([f.ti for f in audit], rel=1e-12)
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_matches_highs_oracle_on_cdags(self, n):
@@ -565,6 +391,11 @@ class TestLexCompletion:
                 if len(g.arcs) < n * (n - 1) // 2:
                     break
             _assert_matches_highs(dag_to_incomplete_matrix(g, alpha))
+
+    @pytest.mark.parametrize("n", (12, 13))
+    def test_matches_highs_oracle_at_scale(self, n):
+        # random_cdag(n, 0.3, 123) at alpha = 5, past the sizes the corpus reaches
+        _assert_matches_highs(dag_to_incomplete_matrix(random_cdag(n, 0.3, 123), 5.0))
 
     @pytest.mark.parametrize("n", range(4, 8))
     def test_matches_highs_oracle_on_random_matrices(self, n):
@@ -604,31 +435,6 @@ class TestLexCompletion:
             first_max = audit[0].ti if audit else 1.0
             assert first_max <= alpha + 1e-9
 
-    def test_lex_beats_grid_oracle(self):
-        rng = np.random.default_rng(31)
-        for _ in range(6):
-            n = int(rng.integers(4, 6))
-            a = random_incomplete(n, int(rng.integers(1, 3)), rng)
-            m, _ = lex_optimal_completion(a)
-            theta = inconsistency_profile(m).theta
-            oracle_theta, _ = lex_ti_grid_oracle(a, step=0.05)
-            assert lex_less_equal(theta, oracle_theta, tol=1e-3)
-
-    def test_alpha_invariant_exponents(self, fig2_dag):
-        # Every known log entry of a DAG matrix is +/- log alpha, so the
-        # completion is alpha ** E for one exponent matrix E; this must hold
-        # down to alpha near 1, where every cycle sum is tiny.
-        def exponents(alpha):
-            m, audit = lex_optimal_completion(dag_to_incomplete_matrix(fig2_dag, alpha))
-            return np.log(m.entries) / math.log(alpha), len(audit)
-
-        ref, ref_freezes = exponents(5.0)
-        assert ref_freezes > 0
-        for alpha in (1 + 1e-10, 1.1, 2.0, 5.0, 9.0):
-            e, freezes = exponents(alpha)
-            assert freezes == ref_freezes
-            assert np.max(np.abs(e - ref)) <= 1e-9
-
     def test_all_ones_known_completes_to_ones(self):
         a = validate_reciprocal(
             [[1, 1, None, 1], [1, 1, 1, None], [None, 1, 1, 1], [1, None, 1, 1]]
@@ -649,81 +455,6 @@ class TestLexCompletion:
         assert m.entries[0, 2] == pytest.approx(2e300, rel=1e-13)
         assert m.entries[2, 0] == pytest.approx(5e-301, rel=1e-13)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_transpose_and_relabel_equivariant(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(4, 7))
-        a = random_incomplete(n, int(rng.integers(1, 4)), rng)
-        base, audit = lex_optimal_completion(a)
-        logs = np.log(base.entries)
-        tis = sorted(f.ti for f in audit)
-
-        transposed, audit_t = lex_optimal_completion(_transposed(a))
-        assert np.max(np.abs(np.log(transposed.entries) - logs.T)) <= 1e-9
-        assert sorted(f.ti for f in audit_t) == pytest.approx(tis, rel=1e-9)
-
-        perm = rng.permutation(n)
-        relabelled, audit_p = lex_optimal_completion(_permuted(a, perm))
-        inv = np.argsort(perm)
-        assert np.max(np.abs(np.log(relabelled.entries) - logs[np.ix_(inv, inv)])) <= 1e-9
-        assert sorted(f.ti for f in audit_p) == pytest.approx(tis, rel=1e-9)
-
-
-class TestLexAtScale:
-    """``random_cdag(n, 0.3, 123)`` at alpha = 5, past the sizes the corpus reaches."""
-
-    @staticmethod
-    def _matrix(n):
-        return dag_to_incomplete_matrix(random_cdag(n, 0.3, 123), 5.0)
-
-    def test_matches_highs_oracle_n13(self):
-        _assert_matches_highs(self._matrix(13))
-
-    def test_relabel_and_triad_order_invariant_n15(self, monkeypatch):
-        a = self._matrix(15)
-        base, audit = lex_optimal_completion(a)
-        logs = np.log(base.entries)
-        tis = sorted(f.ti for f in audit)
-        rng = np.random.default_rng(15)
-
-        perm = rng.permutation(a.n)
-        relabelled, audit_p = lex_optimal_completion(_permuted(a, perm))
-        inv = np.argsort(perm)
-        assert np.max(np.abs(np.log(relabelled.entries) - logs[np.ix_(inv, inv)])) <= 1e-9
-        assert sorted(f.ti for f in audit_p) == pytest.approx(tis, rel=1e-9)
-
-        triads = all_triads(a.n)
-        shuffled = [triads[int(k)] for k in rng.permutation(len(triads))]
-        assert shuffled != triads
-        states = _reordered_triads(monkeypatch, shuffled)
-        permuted, audit_t = lex_optimal_completion(a)
-        assert [s.triads for s in states] == [tuple(shuffled)]
-        assert np.max(np.abs(np.log(permuted.entries) - logs)) <= 1e-9
-        assert [(f.triad, f.stage) for f in audit_t] == [(f.triad, f.stage) for f in audit]
-        assert [f.ti for f in audit_t] == pytest.approx([f.ti for f in audit], rel=1e-9)
-
-    def test_stage_and_pivot_count_pinned_n15(self, monkeypatch):
-        # 69 stages and 95 pivots now; 108 pivots when each log entry was
-        # split into two signed columns, 72 stage LPs and 2,158 pivots when
-        # each stage was its own LP
-        state, stages = _traced_lex(monkeypatch, self._matrix(15))
-        assert state.stages == len(stages) <= 80
-        assert state.pivots <= 100
-
-
-def _counting_builds(monkeypatch):
-    """Count ``build_lex_lp`` calls, so the lex runs that were solved and not reused."""
-    calls = []
-    build = completion.build_lex_lp
-
-    def counting(*args):
-        calls.append(1)
-        return build(*args)
-
-    monkeypatch.setattr(completion, "build_lex_lp", counting)
-    return calls
-
-
 class TestLexMemo:
     """The last lex run is kept by its unit-free input and reused by an equal one."""
 
@@ -732,25 +463,24 @@ class TestLexMemo:
         m, audit = result
         return m.entries.tobytes(), [(f.triad, f.ti, f.stage) for f in audit]
 
-    def test_hit_is_bitwise_a_fresh_solve(self, monkeypatch, fig2_dag):
+    def test_hit_is_bitwise_a_fresh_solve(self, lex_runs, fig2_dag):
         # memo empty, holding the same input, holding another input; and at
         # alpha = 5 reached from the memo of alpha = 2, whose unit-free logs are equal
-        builds = _counting_builds(monkeypatch)
         rng = np.random.default_rng(211)
         a, b = random_incomplete(6, 4, rng), random_incomplete(6, 4, rng)
         fresh = self._bytes(lex_optimal_completion(a))
         assert self._bytes(lex_optimal_completion(a)) == fresh
         lex_optimal_completion(b)
         assert self._bytes(lex_optimal_completion(a)) == fresh
-        assert len(builds) == 3 and len(completion._memo) == 1
+        assert len(lex_runs) == 3 and len(completion._memo) == 1
 
         at5 = dag_to_incomplete_matrix(fig2_dag, 5.0)
         completion._memo.clear()
         fresh = self._bytes(lex_optimal_completion(at5))
         lex_optimal_completion(dag_to_incomplete_matrix(fig2_dag, 2.0))
-        before = len(builds)
+        before = len(lex_runs)
         assert self._bytes(lex_optimal_completion(at5)) == fresh
-        assert len(builds) == before
+        assert len(lex_runs) == before
 
         # a known 1 and a missing pair both have log 0: the mask tells them apart
         two_missing = [[1, 1, None, 1], [1, 1, 1, None], [None, 1, 1, 1], [1, None, 1, 1]]
@@ -758,47 +488,37 @@ class TestLexMemo:
         for raw in (two_missing, one_missing):
             m, _ = lex_optimal_completion(validate_reciprocal(raw))
             assert np.array_equal(m.entries, np.ones((4, 4)))
-        assert len(builds) == before + 2
+        assert len(lex_runs) == before + 2
 
-    def test_one_solve_per_alpha_sweep(self, monkeypatch, fig2_dag):
+    def test_one_solve_per_alpha_sweep(self, lex_runs, fig2_dag):
         perm = [3, 6, 0, 5, 1, 4, 2]
         relabelled = build_dag(7, [(perm[i], perm[j]) for i, j in fig2_dag.arcs])
-        builds = _counting_builds(monkeypatch)
         rows = sweep_alpha(fig2_dag, "lex", "em")
         assert len(rows) == 90 and all(r.n_violations == 0 for r in rows)
-        assert len(builds) == 1
+        assert len(lex_runs) == 1
         for alpha in alpha_grid():
             lex_optimal_completion(dag_to_incomplete_matrix(relabelled, alpha))
-        assert len(builds) == 2
+        assert len(lex_runs) == 2
         # two graphs in turn: each call's input differs from the one kept
         for alpha in alpha_grid():
             for g in (fig2_dag, relabelled):
                 lex_optimal_completion(dag_to_incomplete_matrix(g, alpha))
-        assert len(builds) == 2 + 2 * 90
+        assert len(lex_runs) == 2 + 2 * 90
 
-    def test_hit_raises_the_overflow_of_a_fresh_solve(self, monkeypatch):
+    def test_hit_raises_the_overflow_of_a_fresh_solve(self, lex_runs):
         # the chain 0 > 1 > 2 at alpha = 1e300 completes a_02 = alpha^2, beyond
         # float64: a fresh solve, then hits after the same input and after alpha = 2
         g = build_dag(3, [(0, 1), (1, 2)])
-        builds = _counting_builds(monkeypatch)
         errors = []
         for alpha in (1e300, 1e300, 2.0, 1e300):
             try:
                 m, _ = lex_optimal_completion(dag_to_incomplete_matrix(g, alpha))
             except CompletionOverflowError as exc:
                 errors.append(exc)
-        assert len(builds) == 1
+        assert len(lex_runs) == 1
         assert m[0, 2] == pytest.approx(4.0, rel=1e-12)
         assert errors[0].pair == (0, 2)
         assert [(e.pair, str(e)) for e in errors] == [(errors[0].pair, str(errors[0]))] * 3
-
-
-@pytest.mark.parametrize(
-    "complete", (lex_optimal_completion, gci_optimal_completion, cr_optimal_completion)
-)
-def test_disconnected_input_rejected(complete):
-    with pytest.raises(DisconnectedComparisonGraphError):
-        complete(validate_reciprocal(DISCONNECTED_4X4))
 
 
 @pytest.mark.parametrize(
@@ -832,54 +552,137 @@ def test_connectivity_checked_once(monkeypatch, fig2_dag, complete):
     assert len(calls) == 1
 
 
-class TestGciCompletion:
-    def test_tree_matches_lex(self):
-        rng = np.random.default_rng(37)
-        for _ in range(8):
-            a = random_tree_matrix(int(rng.integers(3, 8)), rng)
-            g = gci_optimal_completion(a)
-            l, _ = lex_optimal_completion(a)
-            assert np.max(np.abs(g.entries - l.entries)) <= 1e-9
-            assert is_consistent(g, 1e-9)
+METHODS = ("lex", "gci", "cr")
+# per method: the tolerance on log entries, and that on what else it returns (lex TIs, CR lambda)
+TOLERANCES = {"lex": (1e-9, dict(rel=1e-9)), "gci": (1e-12, {}), "cr": (1e-6, dict(abs=1e-12))}
 
-    def test_complete_input_identity(self):
-        rng = np.random.default_rng(41)
-        a = validate_reciprocal(random_reciprocal(4, rng).astype(object))
-        g = gci_optimal_completion(a)
-        assert np.array_equal(g.entries, a.entries)
 
-    def test_known_preserved_reciprocity_exact(self):
-        rng = np.random.default_rng(43)
-        a = random_incomplete(6, 3, rng)
-        g = gci_optimal_completion(a)
-        for i, j in a.known_pairs:
-            assert g.entries[i, j] == a.entries[i, j]
-        for i in range(6):
-            for j in range(i + 1, 6):
-                assert g.entries[j, i] == 1.0 / g.entries[i, j]
+def _complete(method, a):
+    """(completion, values): the sorted audit TIs for lex, [lambda] for CR, [] for GCI."""
+    if method == "lex":
+        m, audit = lex_optimal_completion(a)
+        return m, sorted(f.ti for f in audit)
+    if method == "cr":
+        m, lam = cr_optimal_completion(a)
+        return m, [lam]
+    return gci_optimal_completion(a), []
 
-    def test_relabel_equivariant(self, fig2_dag):
-        rng = np.random.default_rng(53)
-        fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (2.0, 9.0)]
-        for a in [*(random_incomplete(int(rng.integers(4, 8)), 3, rng) for _ in range(6)), *fig2]:
+
+@pytest.fixture(scope="module")
+def invariance_inputs():
+    """Random incomplete matrices, and the DAG matrices of the witness graph at alpha 2 and 9
+    and of random_cdag(15, 0.3, 123) at 5."""
+    inputs = []
+    for seed in range(100, 106):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 7))
+        inputs.append(random_incomplete(n, int(rng.integers(1, 4)), rng))
+    rng = np.random.default_rng(53)
+    inputs += [random_incomplete(int(rng.integers(4, 8)), 3, rng) for _ in range(6)]
+    rng = np.random.default_rng(11)
+    inputs += [random_incomplete(5, 2, rng) for _ in range(10)]
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        inputs.append(random_incomplete(5, 2, rng))
+        rng.permutation(10)  # these 5 x 5 matrices interleave with draws of a triad order
+    inputs.append(random_incomplete(6, 3, np.random.default_rng(43)))
+    inputs += _cr_instances()
+    inputs += [dag_to_incomplete_matrix(FIG2, alpha) for alpha in (2.0, 9.0)]
+    return [*inputs, dag_to_incomplete_matrix(random_cdag(15, 0.3, 123), 5.0)]
+
+
+class TestInvariance:
+    """What every completion keeps, checked once for lex, GCI and CR, each at its tolerance."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_relabel_and_transpose_equivariant(self, invariance_inputs, method):
+        log_tol, value_tol = TOLERANCES[method]
+        rng = np.random.default_rng(100)
+        for a in invariance_inputs:
+            m, values = _complete(method, a)
+            logs = np.log(m.entries)
             perm = rng.permutation(a.n)
             inv = np.argsort(perm)
-            logs = np.log(gci_optimal_completion(a).entries)
-            relabelled = gci_optimal_completion(_permuted(a, perm))
-            assert np.max(np.abs(np.log(relabelled.entries) - logs[np.ix_(inv, inv)])) <= 1e-12
+            relabelled, transposed = _permuted(a, perm), _transposed(a)
+            for b, expected in ((relabelled, logs[np.ix_(inv, inv)]), (transposed, logs.T)):
+                got, got_values = _complete(method, b)
+                assert np.max(np.abs(np.log(got.entries) - expected)) <= log_tol
+                assert got_values == pytest.approx(values, **value_tol)
 
-    def test_dag_exponents_alpha_invariant(self, fig2_dag):
-        # every known log entry is +/- log alpha, so the least-squares logs
-        # scale with it: log g / log alpha is one exponent matrix for all alpha
-        cdags = [random_cdag(n, density, seed) for n, density, seed in [(6, 0.5, 1), (8, 0.3, 2)]]
-        for g in [fig2_dag, *cdags, random_cdag(12, 0.4, 3)]:
-            exponents = [
-                np.log(gci_optimal_completion(dag_to_incomplete_matrix(g, alpha)).entries)
-                / math.log(alpha)
-                for alpha in (1.5, 5.0, 9.0)
-            ]
-            for e in exponents[1:]:
-                assert np.max(np.abs(e - exponents[0])) <= 1e-12
+    @pytest.mark.parametrize("method", METHODS)
+    def test_known_entries_and_reciprocity_exact(self, invariance_inputs, method):
+        for a in invariance_inputs:
+            m = _complete(method, a)[0].entries
+            upper = np.triu_indices(a.n, 1)
+            assert np.array_equal(m[a.known], a.entries[a.known])
+            assert np.array_equal(m.T[upper], 1.0 / m[upper])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_complete_input_identity(self, method):
+        rngs = (np.random.default_rng(41), np.random.default_rng(53))
+        full = [validate_reciprocal(random_reciprocal(4, rng).astype(object)) for rng in rngs]
+        for a in [validate_reciprocal([[1, 2], [0.5, 1]]), *full]:
+            m, values = _complete(method, a)
+            assert np.array_equal(m.entries, a.entries)
+            assert values == ([saaty_lambda_max(m)] if method == "cr" else [])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_tree_completes_consistent(self, method):
+        # a spanning tree fixes one consistent completion: no freeze, and lambda_max = n
+        trees = []
+        for seed, count, n_stop in ((7, 10, 8), (37, 8, 8), (47, 6, 7)):
+            rng = np.random.default_rng(seed)
+            trees += [random_tree_matrix(int(rng.integers(3, n_stop)), rng) for _ in range(count)]
+        for a in trees:
+            m, values = _complete(method, a)
+            assert is_consistent(m, 1e-8 if method == "cr" else 1e-9)
+            assert np.max(np.abs(m.entries - lex_optimal_completion(a)[0].entries)) <= 1e-9
+            assert values == ([pytest.approx(a.n, abs=1e-8)] if method == "cr" else [])
+
+    @pytest.mark.parametrize(
+        "method, graphs, alphas",
+        [
+            ("lex", [FIG2], (1 + 1e-10, 1.1, 2.0, 9.0)),
+            (
+                "gci",
+                [FIG2, *(random_cdag(*args) for args in [(6, 0.5, 1), (8, 0.3, 2), (12, 0.4, 3)])],
+                (1.5, 9.0),
+            ),
+        ],
+        ids=METHODS[:2],
+    )
+    def test_dag_exponents_alpha_free(self, method, graphs, alphas):
+        # every known log entry is +/- log alpha, so the completion is alpha ** E
+        # for one exponent matrix E at every alpha, and lex freezes as often,
+        # down to alpha near 1, where every cycle sum is tiny
+        for g in graphs:
+            m, values = _complete(method, dag_to_incomplete_matrix(g, 5.0))
+            exponents = np.log(m.entries) / math.log(5.0)
+            assert bool(values) == (method == "lex")  # lex's freeze counts are compared
+            for alpha in alphas:
+                m, got = _complete(method, dag_to_incomplete_matrix(g, alpha))
+                e = np.log(m.entries) / math.log(alpha)
+                assert np.max(np.abs(e - exponents)) <= TOLERANCES[method][0]
+                assert len(got) == len(values)
+
+    def test_lex_triad_order_invariant(self, monkeypatch, lex_runs, invariance_inputs):
+        # the optimum is unique, and the canonical audit order hides which
+        # triad of a tie froze first
+        rng = np.random.default_rng(17)
+        for a in invariance_inputs:
+            m, audit = lex_optimal_completion(a)
+            triads = shuffled = all_triads(a.n)
+            while shuffled == triads:
+                shuffled = [triads[int(k)] for k in rng.permutation(len(triads))]
+            table = (tuple(shuffled), np.array(shuffled, dtype=int).reshape(-1, 3))
+            with monkeypatch.context() as mp:
+                mp.setattr(completion, "_triad_table", lambda n: table)
+                completion._memo.clear()
+                got, audit_t = lex_optimal_completion(a)
+            assert lex_runs[-1].state.triads == tuple(shuffled)
+            assert np.max(np.abs(np.log(got.entries) - np.log(m.entries))) <= 1e-9
+            assert [(f.triad, f.stage) for f in audit_t] == [(f.triad, f.stage) for f in audit]
+            assert [f.ti for f in audit_t] == pytest.approx([f.ti for f in audit], rel=1e-12)
 
 
 def _assert_matches_highs(a):
@@ -896,10 +699,7 @@ def _assert_matches_highs(a):
 def _permuted(a, perm):
     """The incomplete matrix with item i relabelled perm[i]."""
     raw = np.full((a.n, a.n), None, dtype=object)
-    for i in range(a.n):
-        for j in range(a.n):
-            if a.known[i, j]:
-                raw[perm[i], perm[j]] = a.entries[i, j]
+    raw[np.ix_(perm, perm)] = np.where(a.known, a.entries, None)
     return validate_reciprocal(raw)
 
 
@@ -909,17 +709,46 @@ def _transposed(a):
     return validate_reciprocal(raw)
 
 
-class TestCrCompletion:
-    @staticmethod
-    def _cr_instances():
-        rng = np.random.default_rng(73)
-        for _ in range(8):
-            n = int(rng.integers(4, 7))
-            yield random_incomplete(n, int(rng.integers(1, 4)), rng)
+def _cr_instances():
+    rng = np.random.default_rng(73)
+    for _ in range(8):
+        n = int(rng.integers(4, 7))
+        yield random_incomplete(n, int(rng.integers(1, 4)), rng)
 
+
+@pytest.fixture
+def cr_counts(monkeypatch):
+    """Count CR work: ``np.linalg.eig`` calls, and per ``_cr_point`` call its Hessian assemblies.
+
+    ``hessians`` has one entry per CR point, so its length counts the points.
+    """
+    counts = SimpleNamespace(eig=0, hessians=[])
+    eig, point = np.linalg.eig, completion._cr_point
+
+    def counting_eig(a):
+        counts.eig += 1
+        return eig(a)
+
+    def counting_point(*args):
+        *rest, hessian = point(*args)
+        k = len(counts.hessians)
+        counts.hessians.append(0)
+
+        def counted():
+            counts.hessians[k] += 1
+            return hessian()
+
+        return (*rest, counted)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(completion, "_cr_point", counting_point)
+    return counts
+
+
+class TestCrCompletion:
     def test_stationary_and_no_worse_than_gci(self, fig2_dag):
         fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (1.5, 2.0, 5.0, 9.0)]
-        for a in [*self._cr_instances(), *fig2]:
+        for a in [*_cr_instances(), *fig2]:
             m, lam = cr_optimal_completion(a)
             x = m.entries
             v, u = power_iteration_reference(x)[0], power_iteration_reference(x.T)[0]
@@ -928,31 +757,10 @@ class TestCrCompletion:
                 assert abs(grad) <= 1e-6
             assert lam <= perron_root_batch(gci_optimal_completion(a).entries[None])[0] + 1e-12
 
-    @staticmethod
-    def _counting_cr_point(monkeypatch):
-        """Record, per ``_cr_point`` call, how often its Hessian is assembled."""
-        hessians = []
-        point = completion._cr_point
-
-        def counting(*args):
-            *rest, hessian = point(*args)
-            hessians.append(0)
-            k = len(hessians) - 1
-
-            def counted():
-                hessians[k] += 1
-                return hessian()
-
-            return (*rest, counted)
-
-        monkeypatch.setattr(completion, "_cr_point", counting)
-        return hessians
-
     @pytest.mark.parametrize("alpha", [30.0, 50.0, 100.0])
-    def test_converges_at_large_alpha(self, monkeypatch, alpha):
+    def test_converges_at_large_alpha(self, cr_counts, alpha):
         # BFGS ran out of its 200 steps here from alpha = 30
         a = dag_to_incomplete_matrix(random_cdag(12, 0.3, 0), alpha)
-        points = self._counting_cr_point(monkeypatch)
         m, lam = cr_optimal_completion(a)
         x = m.entries
         v, u = power_iteration_reference(x)[0], power_iteration_reference(x.T)[0]
@@ -960,13 +768,13 @@ class TestCrCompletion:
             grad = (u[i] * x[i, j] * v[j] - u[j] * x[j, i] * v[i]) / (u @ v)
             assert abs(grad) <= 1e-6
         assert lam <= saaty_lambda_max(gci_optimal_completion(a)) + 1e-12
-        assert len(points) <= 10
+        assert len(cr_counts.hessians) <= 10
 
     def test_hessian_matches_central_differences(self, fig2_dag):
         rng = np.random.default_rng(83)
         fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (2.0, 9.0)]
         h = 1e-5
-        for a in [*self._cr_instances(), *fig2]:
+        for a in [*_cr_instances(), *fig2]:
             base = gci_optimal_completion(a).entries
             rows, cols = np.array(a.missing_pairs).T
             t = np.log(base[rows, cols]) + rng.normal(scale=0.5, size=len(rows))
@@ -995,7 +803,7 @@ class TestCrCompletion:
     def test_cold_starts_reach_the_warm_lambda(self, monkeypatch, fig2_dag):
         rng = np.random.default_rng(89)
         fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (2.0, 9.0)]
-        for a in [*self._cr_instances(), *fig2]:
+        for a in [*_cr_instances(), *fig2]:
             _, lam = cr_optimal_completion(a)
             for _ in range(3):
                 cold = 10.0 * rng.normal(size=len(a.missing_pairs))
@@ -1004,58 +812,15 @@ class TestCrCompletion:
                     _, lam_cold = cr_optimal_completion(a)
                 assert lam_cold == pytest.approx(lam, rel=1e-9)
 
-    def test_warm_solves_take_few_newton_steps(self, monkeypatch, fig2_dag):
+    def test_warm_solves_take_few_newton_steps(self, cr_counts, fig2_dag):
         fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (1.5, 2.0, 5.0, 9.0)]
         cdag = dag_to_incomplete_matrix(random_cdag(12, 0.3, 0), 9.0)
-        hessians = self._counting_cr_point(monkeypatch)
-        for a in [*self._cr_instances(), *fig2, cdag]:
+        hessians = cr_counts.hessians
+        for a in [*_cr_instances(), *fig2, cdag]:
             start = len(hessians)
             cr_optimal_completion(a)
             assert sum(hessians[start:]) <= 8
             assert hessians[-1] == 0  # the converged point needs none
-
-    def test_relabel_invariant(self, fig2_dag):
-        rng = np.random.default_rng(79)
-        fig2 = [dag_to_incomplete_matrix(fig2_dag, alpha) for alpha in (2.0, 9.0)]
-        for a in [*self._cr_instances(), *fig2]:
-            perm = rng.permutation(a.n)
-            base, lam = cr_optimal_completion(a)
-            relabelled, lam_p = cr_optimal_completion(_permuted(a, perm))
-            expected = np.log(base.entries)[np.ix_(np.argsort(perm), np.argsort(perm))]
-            assert np.max(np.abs(np.log(relabelled.entries) - expected)) <= 1e-6
-            assert lam_p == pytest.approx(lam, abs=1e-12)
-
-    def test_tree_consistent_minimal_lambda(self):
-        rng = np.random.default_rng(47)
-        for _ in range(6):
-            n = int(rng.integers(3, 7))
-            a = random_tree_matrix(n, rng)
-            m, lam = cr_optimal_completion(a)
-            assert is_consistent(m, 1e-8)
-            assert lam == pytest.approx(n, abs=1e-8)
-
-    def test_complete_input_identity(self):
-        rng = np.random.default_rng(53)
-        a = validate_reciprocal(random_reciprocal(4, rng).astype(object))
-        m, lam = cr_optimal_completion(a)
-        assert np.array_equal(m.entries, a.entries)
-        assert lam == pytest.approx(saaty_lambda_max(m), abs=1e-9)
-
-    def test_matches_grid_oracle(self):
-        rng = np.random.default_rng(59)
-        for _ in range(4):
-            a = random_incomplete(4, 2, rng)
-            _, lam = cr_optimal_completion(a)
-            lam_grid, _ = cr_lambda_grid_oracle(a)
-            assert lam == pytest.approx(lam_grid, abs=1e-3)
-
-    def test_matches_fine_grid_oracle(self):
-        # single instance against the full-resolution brute force
-        rng = np.random.default_rng(71)
-        a = random_incomplete(4, 2, rng)
-        _, lam = cr_optimal_completion(a)
-        lam_grid, _ = cr_lambda_grid_oracle(a, step=0.01, refine_rounds=1)
-        assert lam == pytest.approx(lam_grid, abs=1e-3)
 
     def test_initialization_independent(self, monkeypatch):
         rng = np.random.default_rng(61)
@@ -1099,51 +864,26 @@ class TestCrPerronPair:
         rng = np.random.default_rng(97)
         return [validate_reciprocal(random_reciprocal(n, rng)) for n in (3, 5, 8)]
 
-    @staticmethod
-    def _counting(monkeypatch):
-        """Count ``np.linalg.eig`` calls and CR points."""
-        counts = {"eig": 0, "point": 0}
-        eig, point = np.linalg.eig, completion._cr_point
-
-        def counting_eig(a):
-            counts["eig"] += 1
-            return eig(a)
-
-        def counting_point(*args):
-            counts["point"] += 1
-            return point(*args)
-
-        monkeypatch.setattr(np.linalg, "eig", counting_eig)
-        monkeypatch.setattr(completion, "_cr_point", counting_point)
-        return counts
-
-    def test_one_eigendecomposition_per_cr_point(self, monkeypatch, fig2_dag):
-        counts = self._counting(monkeypatch)
+    def test_one_eigendecomposition_per_cr_point(self, cr_counts, fig2_dag):
         for a in self._incomplete(fig2_dag):
-            before = dict(counts)
+            eig, points = cr_counts.eig, len(cr_counts.hessians)
             m, lam = cr_optimal_completion(a)
             em = eigenvector_weights(m)
             assert saaty_lambda_max(m) == em.lambda_max == lam
-            points = counts["point"] - before["point"]
-            assert points > 0
-            assert counts["eig"] - before["eig"] == points
+            assert cr_counts.eig - eig == len(cr_counts.hessians) - points > 0
 
-    def test_complete_input_one_eigendecomposition(self, monkeypatch):
-        counts = self._counting(monkeypatch)
+    def test_complete_input_one_eigendecomposition(self, cr_counts):
         for k, a in enumerate(self._complete(), 1):
             m, lam = cr_optimal_completion(a)
             assert eigenvector_weights(m).lambda_max == saaty_lambda_max(m) == lam
-            assert counts == {"eig": k, "point": k}
+            assert cr_counts.eig == len(cr_counts.hessians) == k
 
     @pytest.mark.parametrize("weighting", ["em", "llsm"])
-    def test_pipeline_one_eigendecomposition_per_cr_point(self, monkeypatch, fig2_dag, weighting):
-        counts = self._counting(monkeypatch)
+    def test_pipeline_one_eigendecomposition_per_cr_point(self, cr_counts, fig2_dag, weighting):
         for a in self._incomplete(fig2_dag):
-            before = dict(counts)
+            eig, points = cr_counts.eig, len(cr_counts.hessians)
             run_pipeline(a, "cr", weighting)
-            points = counts["point"] - before["point"]
-            assert points > 0
-            assert counts["eig"] - before["eig"] == points
+            assert cr_counts.eig - eig == len(cr_counts.hessians) - points > 0
 
     def test_attached_pair_is_bitwise_a_fresh_solve(self, fig2_dag):
         for a in [*self._incomplete(fig2_dag), *self._complete()]:

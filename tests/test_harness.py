@@ -15,6 +15,7 @@ from pcmlex import (
     sweep_alpha,
     verify_theorem1,
 )
+from pcmlex.errors import AlphaNotGreaterThanOneError
 
 
 class TestPipeline:
@@ -119,6 +120,16 @@ class TestVerifyTheorem1:
     def test_rejects_empty_runs(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             verify_theorem1(**kwargs)
+
+    def test_bad_alpha_rejected_before_any_completion(self, monkeypatch, fig2_dag):
+        # every alpha is checked before the first trial or alpha, not when reached
+        lex, calls = harness.lex_optimal_completion, []
+        monkeypatch.setattr(harness, "lex_optimal_completion", lambda a: calls.append(a) or lex(a))
+        with pytest.raises(AlphaNotGreaterThanOneError, match="alpha = 1.0 must exceed 1"):
+            verify_theorem1(trials=5, n_max=5, alphas=(2.0, 5.0, 1.0))
+        with pytest.raises(AlphaNotGreaterThanOneError, match="alpha = 0.5 must exceed 1"):
+            sweep_alpha(fig2_dag, "lex", "em", alphas=(2.0, 3.0, 0.5))
+        assert calls == []
 
     def test_violation_recorded(self, monkeypatch):
         # LLSM weights inverted rank every stated preference backwards: each

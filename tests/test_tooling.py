@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import pcmlex
-import pcmlex.completion as completion_module
 import pcmlex.harness as harness
 from pcmlex.simplex import SimplexResult, solve_simplex
 from pcmlex.weighting import EigenResult, eigenvector_weights
@@ -105,65 +104,21 @@ def test_pipeline_calls_each_method_by_its_module_name(monkeypatch, completion, 
     assert calls == expected
 
 
-def _counting_lex(monkeypatch):
-    """The states ``build_lex_lp`` builds, and the state of each ``solve_lp`` call, as the tracer sees them."""
-    states, stages = [], []
-    build, stage_lp = completion_module.build_lex_lp, completion_module.solve_lp
-
-    def recording_build(*args):
-        states.append(build(*args))
-        return states[-1]
-
-    def counting_lp(state):
-        stages.append(state)
-        return stage_lp(state)
-
-    monkeypatch.setattr(completion_module, "build_lex_lp", recording_build)
-    monkeypatch.setattr(completion_module, "solve_lp", counting_lp)
-    return states, stages
-
-
-def test_lex_cdag_corpus_work_pinned(monkeypatch):
+def test_lex_cdag_corpus_work_pinned(lex_runs, example2):
     # one pass of the benchmark's lex-cdag operations at seed 1, each solved
     # afresh: LPs built, stages (solve_lp calls), pivots and freezes; a change
     # to any of these moves the per-layer metrics the benchmark reports
     workload = _load_perfbench("workloads").lex_cdag(1)
-    states, stages = _counting_lex(monkeypatch)
     freezes = sum(len(workload.run(i).audit) for i in range(len(workload)))
-    assert len(workload) == len(states) == 219
-    assert len(stages) == sum(s.stages for s in states) == 692
-    assert sum(s.pivots for s in states) == 1_607
+    assert len(workload) == len(lex_runs) == 219
+    assert sum(len(r.stages) for r in lex_runs) == sum(r.state.stages for r in lex_runs) == 692
+    assert sum(r.state.pivots for r in lex_runs) == 1_607
     assert freezes == 3_597
-
-
-def test_solve_lp_runs_only_while_a_triad_is_active(monkeypatch, example2):
-    # solve_lp's precondition: some triad is active, so some row blocks; the
-    # run records the bound of a batch that freezes the last triads itself
-    states, stages = _counting_lex(monkeypatch)
-    counting_lp = completion_module.solve_lp
-
-    def checking_lp(state):
-        assert np.isnan(state.bound).any()
-        return counting_lp(state)
-
-    monkeypatch.setattr(completion_module, "solve_lp", checking_lp)
-    workload = _load_perfbench("workloads").lex_cdag(1)
-    for a in [*(slot.matrix for slot in workload.slots), example2]:
-        completion_module._memo.clear()
-        pcmlex.lex_optimal_completion(a)
-    assert len(stages) == sum(s.stages for s in states) == 692 + 2  # the corpus, then Example 2
-    assert any(not np.isnan(s.bound).any() for s in states)  # a run that froze every triad
-
-
-@pytest.mark.parametrize("n, density", [(10, 0.3), (12, 0.3), (15, 0.6)])
-def test_lex_run_calls_solve_lp_once_per_stage(monkeypatch, n, density):
-    # the tracer counts stages as calls of the module global completion.solve_lp
-    a = pcmlex.dag_to_incomplete_matrix(pcmlex.random_cdag(n, density, 123), 5.0)
-    states, stages = _counting_lex(monkeypatch)
-    pcmlex.lex_optimal_completion(a)
-    assert len(states) == 1
-    assert len(stages) == states[0].stages > 1
-    assert all(s is states[0] for s in stages)
+    # the run records the bound of a batch that freezes the last triads
+    # itself, with no solve_lp call after it
+    pcmlex.lex_optimal_completion(example2)
+    assert len(lex_runs) == 220 and len(lex_runs[-1].stages) == 2
+    assert any(not np.isnan(r.state.bound).any() for r in lex_runs)
 
 
 def _exp_call_sites() -> list[tuple[str, str]]:
