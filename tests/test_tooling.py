@@ -104,7 +104,7 @@ def test_pipeline_calls_each_method_by_its_module_name(monkeypatch, completion, 
     assert calls == expected
 
 
-def test_lex_cdag_corpus_work_pinned(lex_runs, example2):
+def test_lex_cdag_corpus_work_pinned(lex_runs):
     # one pass of the benchmark's lex-cdag operations at seed 1, each solved
     # afresh: LPs built, stages (solve_lp calls), pivots and freezes; a change
     # to any of these moves the per-layer metrics the benchmark reports
@@ -114,11 +114,28 @@ def test_lex_cdag_corpus_work_pinned(lex_runs, example2):
     assert sum(len(r.stages) for r in lex_runs) == sum(r.state.stages for r in lex_runs) == 692
     assert sum(r.state.pivots for r in lex_runs) == 1_607
     assert freezes == 3_597
-    # the run records the bound of a batch that freezes the last triads
-    # itself, with no solve_lp call after it
-    pcmlex.lex_optimal_completion(example2)
-    assert len(lex_runs) == 220 and len(lex_runs[-1].stages) == 2
-    assert any(not np.isnan(r.state.bound).any() for r in lex_runs)
+
+
+def test_solve_lp_runs_only_while_a_triad_is_active(lex_runs, example2):
+    # lex_runs asserts solve_lp's precondition on every call: some triad is
+    # active, so some row blocks; the run records the bound of a batch that
+    # freezes the last triads itself, with no solve_lp call after it
+    workload = _load_perfbench("workloads").lex_cdag(1)
+    for a in [*(slot.matrix for slot in workload.slots), example2]:
+        pcmlex.completion._memo.clear()
+        pcmlex.lex_optimal_completion(a)
+    assert sum(len(r.stages) for r in lex_runs) == 692 + 2  # the corpus, then Example 2
+    assert any(not np.isnan(r.state.bound).any() for r in lex_runs)  # a run that froze every triad
+
+
+@pytest.mark.parametrize("n, density", [(10, 0.3), (12, 0.3), (15, 0.6)])
+def test_lex_run_calls_solve_lp_once_per_stage(lex_runs, n, density):
+    # the tracer counts stages as calls of the module global completion.solve_lp
+    a = pcmlex.dag_to_incomplete_matrix(pcmlex.random_cdag(n, density, 123), 5.0)
+    pcmlex.lex_optimal_completion(a)
+    [run] = lex_runs
+    assert len(run.stages) == run.state.stages > 1
+    assert all(stage.state is run.state for stage in run.stages)
 
 
 def _exp_call_sites() -> list[tuple[str, str]]:
